@@ -29,7 +29,7 @@ from .textform import (
     serialize_hvt,
     serialize_mixed,
 )
-from .uncrowding import uncrowd, uncrowd_canonical
+from .uncrowding import _canonical_word, _collect, _uncrowd_steps
 
 
 def _partition_arg(text: str):
@@ -86,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--excess", type=int, default=2)
     p.add_argument("--max-outer", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    no_effect = "accepted for compatibility; changes neither the work nor the output"
+    p.add_argument("--seed", type=int, default=0, help=no_effect)
+    p.add_argument("--jobs", type=int, default=1, help=no_effect)
 
     p = sub.add_parser("identity", help="generating-function identity checks")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, default=())
@@ -153,25 +154,16 @@ def _cmd_uncrowd(args, stdin, out) -> int:
             print(" ".join(str(x) for x in v), file=out)
         return 1
     if args.word in ("LAinf", "ALinf"):
-        order = "LA" if args.word == "LAinf" else "AL"
-        a, l = T.arm_excess, T.leg_excess
-        word = ("L" * l + "A" * a) if order == "LA" else ("A" * a + "L" * l)
+        word = _canonical_word(T, args.word[:2])
     else:
         word = args.word
-    result = uncrowd(T, word)
+    steps = list(_uncrowd_steps(T, word))
+    result = _collect(T, steps)
     if args.trace:
-        from .uncrowding import arm_uncrowd, leg_uncrowd
-
         print(serialize_hvt(T), file=out)
-        cur = T
-        for letter in reversed(word):
-            op = arm_uncrowd if letter == "A" else leg_uncrowd
-            nxt, rec = op(cur)
-            if rec is None:
-                continue
-            cur = nxt
+        for letter, tableau, _ in steps:
             print(f"--{letter}-->", file=out)
-            print(serialize_hvt(cur), file=out)
+            print(serialize_hvt(tableau), file=out)
     print(f"P: {serialize_hvt(result.insertion)}", file=out)
     print(f"Q: {serialize_mixed(result.recording)}", file=out)
     return 0
@@ -201,10 +193,11 @@ def _cmd_switchlike(args, stdin, out) -> int:
     return 0
 
 
-def _cmd_enum(args, out) -> int:
+def _cmd_enum(args, out, err) -> int:
     if args.family in ("hvt", "ssyt"):
         if args.lam is None:
-            raise SystemExit(2)
+            print(f"error: enum --family {args.family} needs --lambda", file=err)
+            return 2
         if args.family == "hvt":
             items = enumeration.enum_hvt(args.lam, EnumBounds(args.n, args.excess))
         else:
@@ -213,7 +206,8 @@ def _cmd_enum(args, out) -> int:
             print(serialize_hvt(T), file=out)
     else:
         if args.outer is None:
-            raise SystemExit(2)
+            print(f"error: enum --family {args.family} needs --outer", file=err)
+            return 2
         enum = (
             enumeration.enum_exquisite
             if args.family == "exq"
@@ -277,14 +271,12 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         if args.verb in ("shuffle", "switch", "ggjdt"):
             return _cmd_switchlike(args, stdin, out)
         if args.verb == "enum":
-            return _cmd_enum(args, out)
+            return _cmd_enum(args, out, err)
         if args.verb == "verify":
             return _cmd_verify(args, out, err)
         if args.verb == "identity":
             return _cmd_identity(args, out)
         return 2
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except (TableauSyntaxError, PreconditionViolation, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1

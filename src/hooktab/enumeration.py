@@ -1,18 +1,16 @@
 """Exhaustive generators, the full bijection, and verification drivers.
 
 All generators return canonically ordered lists (lexicographic on the text
-serialization) so that counts and golden files are stable across runs and
-worker counts.
+serialization) so that counts and golden files are stable across runs.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .shapes import (
     Partition,
@@ -201,34 +199,19 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _map_chunks(items, fn: Callable, jobs: int):
-    """Apply fn to every item, optionally across worker threads; results are
-    concatenated in input order so the merge is deterministic."""
-    if jobs <= 1 or len(items) < 2:
-        results = [fn(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, items))
-    out = []
-    for r in results:
-        out.extend(r)
-    return out
-
-
 def _lambdas(lam, limit):
     if lam is not None:
         return [check_partition(lam)]
     return partitions_up_to(limit)
 
 
-def _check_commute(lam, bounds, jobs):
+def _check_commute(lam, bounds):
     """Lemma on commuting arm and leg bumps, all three cases."""
     lams = _lambdas(lam, DEFAULT_LAMBDA_LIMIT)
     tableaux = [T for l in lams for T in enum_hvt(l, bounds)]
     relevant = [T for T in tableaux if T.arm_excess >= 1 and T.leg_excess >= 1]
-
-    def check(T):
-        bad = []
+    failures = []
+    for T in relevant:
         TA, _ = arm_bump(T)
         ga = TA.num_cells - T.num_cells
         TLA, _ = leg_bump(TA)
@@ -241,51 +224,40 @@ def _check_commute(lam, bounds, jobs):
         if ga == 1 and gla == 1 and gl == 1 and gal == 0:
             TAAL, _ = arm_bump(TAL)
             if TLA != TAAL:
-                bad.append(f"case1 equality fails for {name}")
+                failures.append(f"case1 equality fails for {name}")
             if TAAL.num_cells - TAL.num_cells != 1:
-                bad.append(f"case1 type A(1)A(0)L(1) fails for {name}")
+                failures.append(f"case1 type A(1)A(0)L(1) fails for {name}")
         elif ga == 1 and gla == 0 and gl == 1 and gal == 1:
             TLLA, _ = leg_bump(TLA)
             if TLLA != TAL:
-                bad.append(f"case2 equality fails for {name}")
+                failures.append(f"case2 equality fails for {name}")
             if TLLA.num_cells - TLA.num_cells != 1:
-                bad.append(f"case2 type L(1)L(0)A(1) fails for {name}")
+                failures.append(f"case2 type L(1)L(0)A(1) fails for {name}")
         else:
             if gl != gla or gal != ga:
-                bad.append(f"case3 type swap fails for {name}")
+                failures.append(f"case3 type swap fails for {name}")
             if TLA != TAL:
-                bad.append(f"case3 equality fails for {name}")
-        return bad
-
-    return len(relevant), _map_chunks(relevant, check, jobs)
+                failures.append(f"case3 equality fails for {name}")
+    return len(relevant), failures
 
 
-def _check_shuffle_theorem(lam, bounds, jobs):
+def _check_shuffle_theorem(lam, bounds):
     """Interchanging the uncrowding order: equal insertions, shuffled
     recordings, for both the length-two words and the canonical orders."""
     lams = _lambdas(lam, DEFAULT_LAMBDA_LIMIT)
     tableaux = [T for l in lams for T in enum_hvt(l, bounds)]
-
-    def check(T):
-        bad = []
+    failures = []
+    for T in tableaux:
         name = serialize_hvt(T)
-        for la_word, al_word, label in (
-            ("LA", "AL", "single"),
-            (None, None, "canonical"),
+        for label, (p1, q1, _), (p2, q2, _) in (
+            ("single", uncrowd(T, "LA"), uncrowd(T, "AL")),
+            ("canonical", uncrowd_canonical(T, "LA"), uncrowd_canonical(T, "AL")),
         ):
-            if label == "single":
-                p1, q1, _ = uncrowd(T, la_word)
-                p2, q2, _ = uncrowd(T, al_word)
-            else:
-                p1, q1, _ = uncrowd_canonical(T, "LA")
-                p2, q2, _ = uncrowd_canonical(T, "AL")
             if p2 != p1:
-                bad.append(f"{label}: insertion tableaux differ for {name}")
+                failures.append(f"{label}: insertion tableaux differ for {name}")
             if q2 != shuffle(q1):
-                bad.append(f"{label}: recording is not the shuffle for {name}")
-        return bad
-
-    return len(tableaux), _map_chunks(tableaux, check, jobs)
+                failures.append(f"{label}: recording is not the shuffle for {name}")
+    return len(tableaux), failures
 
 
 def _expected_pairs(lam, bounds, recording_enum):
@@ -303,7 +275,7 @@ def _expected_pairs(lam, bounds, recording_enum):
     return expected
 
 
-def _check_image(lam, bounds, jobs, *, use_phi: bool):
+def _check_image(lam, bounds, *, use_phi: bool):
     """Bijectivity and weight preservation of canonical uncrowding (onto
     SSYT x BFT) or of the composite map (onto SSYT x EXQ)."""
     lams = _lambdas(lam, DEFAULT_LAMBDA_LIMIT)
@@ -332,11 +304,7 @@ def _check_image(lam, bounds, jobs, *, use_phi: bool):
                 failures.append(f"collision: {name} and {seen[key]} map to {key}")
             seen[key] = name
         expected = _expected_pairs(
-            l,
-            bounds,
-            (lambda mu, lam_: enum_exquisite(mu, lam_))
-            if use_phi
-            else (lambda mu, lam_: enum_biflagged(mu, lam_)),
+            l, bounds, enum_exquisite if use_phi else enum_biflagged
         )
         for missing in sorted(expected - set(seen)):
             failures.append(f"pair not attained for lambda={l}: {missing}")
@@ -345,16 +313,14 @@ def _check_image(lam, bounds, jobs, *, use_phi: bool):
     return total, failures
 
 
-def _check_ggjdt_bijection(outer, inner, max_outer, jobs):
+def _check_ggjdt_bijection(outer, inner, max_outer):
     """GG-jdt as a weight-preserving bijection BFT -> EXQ, per skew shape."""
     if outer is not None:
         shapes = [check_skew(outer, inner or ())]
     else:
         shapes = skew_shapes(max_outer)
-
-    def check(shape):
-        mu, lam = shape
-        bad = []
+    failures = []
+    for mu, lam in shapes:
         bft = enum_biflagged(mu, lam)
         exq = enum_exquisite(mu, lam)
         images = []
@@ -363,19 +329,16 @@ def _check_ggjdt_bijection(outer, inner, max_outer, jobs):
             images.append(E)
             name = serialize_mixed(Q)
             if not is_exquisite(E):
-                bad.append(f"{mu}/{lam}: image of {name} not exquisite")
+                failures.append(f"{mu}/{lam}: image of {name} not exquisite")
             if weight_mixed(E) != weight_mixed(Q):
-                bad.append(f"{mu}/{lam}: weight changed for {name}")
+                failures.append(f"{mu}/{lam}: weight changed for {name}")
         if len(set(images)) != len(images):
-            bad.append(f"{mu}/{lam}: GG-jdt not injective")
+            failures.append(f"{mu}/{lam}: GG-jdt not injective")
         if len(bft) != len(exq):
-            bad.append(f"{mu}/{lam}: |BFT|={len(bft)} but |EXQ|={len(exq)}")
+            failures.append(f"{mu}/{lam}: |BFT|={len(bft)} but |EXQ|={len(exq)}")
         elif set(images) != set(exq):
-            bad.append(f"{mu}/{lam}: image differs from EXQ")
-        return bad
-
-    total = len(shapes)
-    return total, _map_chunks(shapes, check, jobs)
+            failures.append(f"{mu}/{lam}: image differs from EXQ")
+    return len(shapes), failures
 
 
 CHECK_IDS = (
@@ -398,18 +361,23 @@ def verify(
     seed: int = 0,
     jobs: int = 1,
 ) -> VerificationReport:
-    """Run one exhaustive theorem check and collect every counterexample."""
+    """Run one exhaustive theorem check and collect every counterexample.
+
+    Every check runs sequentially in this thread.  seed and jobs are
+    accepted for compatibility and change neither the work done nor the
+    report.
+    """
     t0 = time.perf_counter()
     if check_id == "commute_lemma":
-        n, failures = _check_commute(lam, bounds, jobs)
+        n, failures = _check_commute(lam, bounds)
     elif check_id == "shuffle_theorem":
-        n, failures = _check_shuffle_theorem(lam, bounds, jobs)
+        n, failures = _check_shuffle_theorem(lam, bounds)
     elif check_id == "uncrowd_image":
-        n, failures = _check_image(lam, bounds, jobs, use_phi=False)
+        n, failures = _check_image(lam, bounds, use_phi=False)
     elif check_id == "phi_bijection":
-        n, failures = _check_image(lam, bounds, jobs, use_phi=True)
+        n, failures = _check_image(lam, bounds, use_phi=True)
     elif check_id == "ggjdt_bijection":
-        n, failures = _check_ggjdt_bijection(outer, inner, max_outer, jobs)
+        n, failures = _check_ggjdt_bijection(outer, inner, max_outer)
     else:
         raise ValueError(f"unknown check {check_id!r}; known: {CHECK_IDS}")
     # only bounds and shapes: seed and jobs must not change the output bytes

@@ -104,8 +104,12 @@ def fully_switch(
     if strategy not in ("deterministic", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed) if strategy == "random" else None
+    # each switch moves one alpha one cell up or right, so the sum of r+c
+    # over alpha cells strictly increases: n_alpha * num_cells bounds the loop
+    n_alpha = sum(1 for e in T.entries.values() if e.kind == "a")
+    budget = n_alpha * T.num_cells
     cur = T
-    while True:
+    for _ in range(budget + 1):
         moves = available_switches(cur)
         if not moves:
             return cur
@@ -113,6 +117,7 @@ def fully_switch(
             cur = moves[0][1]
         else:
             cur = rng.choice(moves)[1]
+    raise InternalError("fully_switch exceeded its switch budget")
 
 
 def shuffle(T: MixedTableau) -> MixedTableau:

@@ -86,13 +86,18 @@ class _Cursor:
         return v
 
 
-def _split_tableau(cur: _Cursor, parse_cell) -> list[list]:
-    """Parse rows of cells; parse_cell consumes one cell at the cursor."""
+def _split_tableau(cur: _Cursor, parse_cell) -> tuple[list[list], list[int]]:
+    """Parse rows of cells; parse_cell consumes one cell at the cursor.
+
+    Returns the rows and the text offset where each row starts, so shape
+    errors found after parsing can point at their row."""
     rows = []
+    row_starts = []
     cur.skip_ws()
     if cur.pos == len(cur.text):
-        return rows
+        return rows, row_starts
     while True:
+        row_starts.append(cur.pos)
         row = [parse_cell(cur)]
         while True:
             cur.skip_ws()
@@ -106,7 +111,7 @@ def _split_tableau(cur: _Cursor, parse_cell) -> list[list]:
         rows.append(row)
         cur.skip_ws()
         if cur.pos == len(cur.text):
-            return rows
+            return rows, row_starts
         if cur.peek() == "/":
             cur.take()
             cur.skip_ws()
@@ -137,7 +142,7 @@ def parse_hvt(text: str) -> HookValuedTableau:
     """Parse the hook-valued tableau format (syntax only; run hvt_violations
     for the semistandardness conditions)."""
     cur = _Cursor(text.strip("\n"))
-    rows = _split_tableau(cur, _parse_hook_cell)
+    rows, _ = _split_tableau(cur, _parse_hook_cell)
     return HookValuedTableau(rows)
 
 
@@ -164,32 +169,7 @@ def parse_mixed(text: str) -> MixedTableau:
     """Parse the mixed tableau format, building the skew shape from the row
     lengths (outer) and the leading dots (inner)."""
     stripped = text.strip("\n")
-    cur = _Cursor(stripped)
-    # remember where each row begins so shape errors can point at it
-    row_starts: list[int] = []
-    rows = []
-    cur.skip_ws()
-    if cur.pos < len(cur.text):
-        while True:
-            row_starts.append(cur.pos)
-            row = [_parse_mixed_cell(cur)]
-            while True:
-                cur.skip_ws()
-                if cur.peek() == "|":
-                    cur.take()
-                    cur.skip_ws()
-                    row.append(_parse_mixed_cell(cur))
-                else:
-                    break
-            rows.append(row)
-            cur.skip_ws()
-            if cur.pos == len(cur.text):
-                break
-            if cur.peek() == "/":
-                cur.take()
-                cur.skip_ws()
-            else:
-                cur.fail("'|', '/' or end of input")
+    rows, row_starts = _split_tableau(_Cursor(stripped), _parse_mixed_cell)
 
     outer = []
     inner = []

@@ -216,6 +216,32 @@ def leg_uncrowd(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpR
     return _uncrowd_step(T, leg_bump, "leg")
 
 
+def _uncrowd_steps(T: HookValuedTableau, word: str):
+    """Yield (letter, tableau, record) for each effective step of the word,
+    applying its letters right to left."""
+    if any(ch not in "AL" for ch in word):
+        raise ValueError(f"word must be over 'A'/'L', got {word!r}")
+    cur = T
+    for letter in reversed(word):
+        op = arm_uncrowd if letter == "A" else leg_uncrowd
+        cur, rec = op(cur)
+        if rec is not None:
+            yield letter, cur, rec
+
+
+def _collect(T: HookValuedTableau, steps) -> UncrowdResult:
+    """The uncrowding result of T from its effective steps."""
+    cur = T
+    records = []
+    q_entries = {}
+    for _, cur, rec in steps:
+        records.append(rec)
+        r, c = rec.origin
+        q_entries[rec.created] = alpha(c) if rec.kind == "arm" else beta(r)
+    recording = MixedTableau(cur.shape, T.shape, q_entries)
+    return UncrowdResult(cur, recording, tuple(records))
+
+
 def uncrowd(T: HookValuedTableau, word: str) -> UncrowdResult:
     """Run the uncrowding map for a word over {A, L}.
 
@@ -225,21 +251,17 @@ def uncrowd(T: HookValuedTableau, word: str) -> UncrowdResult:
     tableau, each effective L step writes beta_r; no-op letters write
     nothing.
     """
-    if any(ch not in "AL" for ch in word):
-        raise ValueError(f"word must be over 'A'/'L', got {word!r}")
-    cur = T
-    records = []
-    q_entries = {}
-    for letter in reversed(word):
-        op = arm_uncrowd if letter == "A" else leg_uncrowd
-        cur, rec = op(cur)
-        if rec is None:
-            continue
-        records.append(rec)
-        r, c = rec.origin
-        q_entries[rec.created] = alpha(c) if rec.kind == "arm" else beta(r)
-    recording = MixedTableau(cur.shape, T.shape, q_entries)
-    return UncrowdResult(cur, recording, tuple(records))
+    return _collect(T, _uncrowd_steps(T, word))
+
+
+def _canonical_word(T: HookValuedTableau, order: str) -> str:
+    """The word of the canonical order "LA" (L^inf A^inf) or "AL"."""
+    a, l = T.arm_excess, T.leg_excess
+    if order == "LA":
+        return "L" * l + "A" * a
+    if order == "AL":
+        return "A" * a + "L" * l
+    raise ValueError(f"order must be 'LA' or 'AL', got {order!r}")
 
 
 def uncrowd_canonical(T: HookValuedTableau, order: str) -> UncrowdResult:
@@ -249,14 +271,7 @@ def uncrowd_canonical(T: HookValuedTableau, order: str) -> UncrowdResult:
     (the word L^inf A^inf read right to left); order "AL" is the reverse.
     The insertion tableau always has zero excess.
     """
-    a, l = T.arm_excess, T.leg_excess
-    if order == "LA":
-        word = "L" * l + "A" * a
-    elif order == "AL":
-        word = "A" * a + "L" * l
-    else:
-        raise ValueError(f"order must be 'LA' or 'AL', got {order!r}")
-    result = uncrowd(T, word)
+    result = uncrowd(T, _canonical_word(T, order))
     assert result.insertion.arm_excess == 0 and result.insertion.leg_excess == 0
     return result
 

@@ -40,6 +40,12 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
+    code, out, err = invoke(["enum", "--family", "hvt"])
+    assert code == 2 and out == ""
+    assert err == "error: enum --family hvt needs --lambda\n"
+    code, out, err = invoke(["enum", "--family", "exq"])
+    assert code == 2 and out == ""
+    assert err == "error: enum --family exq needs --outer\n"
 
 
 def test_uncrowd_trace_golden():
@@ -61,6 +67,9 @@ def test_uncrowd_canonical_words():
     assert out.splitlines() == [f"P: {pc.UNCROWD_P}", f"Q: {pc.UNCROWD_Q}"]
     code, out2, _ = invoke(["uncrowd", "--word", "LLAA"], pc.UNCROWD_INPUT)
     assert out2 == out
+    code, out, _ = invoke(["uncrowd", "--word", "LAinf", "--trace"], pc.UNCROWD_INPUT)
+    assert code == 0
+    assert out == invoke(["uncrowd", "--word", "LLAA", "--trace"], pc.UNCROWD_INPUT)[1]
 
 
 def test_shuffle_and_switch_commands():

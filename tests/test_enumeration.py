@@ -5,6 +5,7 @@ import pytest
 import paper_cases as pc
 from oracles import ssyt_count as ssyt_count_oracle
 from hooktab.enumeration import (
+    CHECK_IDS,
     EnumBounds,
     enum_biflagged,
     enum_exquisite,
@@ -195,9 +196,16 @@ def test_verify_report_json_shape():
 
 
 def test_verify_jobs_deterministic():
-    one = verify("commute_lemma", lam=(2, 1), bounds=EnumBounds(3, 2), jobs=1)
-    two = verify("commute_lemma", lam=(2, 1), bounds=EnumBounds(3, 2), jobs=3)
-    assert one.to_json() == two.to_json()
+    for check_id in CHECK_IDS:
+        if check_id == "ggjdt_bijection":
+            kwargs = {"max_outer": 4}
+        else:
+            kwargs = {"lam": (2, 1), "bounds": EnumBounds(3, 2)}
+        reports = {
+            verify(check_id, jobs=jobs, seed=jobs, **kwargs).to_json()
+            for jobs in (1, 2, 4)
+        }
+        assert len(reports) == 1, check_id
 
 
 def test_phi_injective_and_counts():

@@ -1,9 +1,13 @@
+import signal
+
 import pytest
 
 import paper_cases as pc
 from hooktab.enumeration import enum_biflagged, enum_exquisite, enum_sorted_strict
 from hooktab.shapes import skew_shapes
+from hooktab import switching
 from hooktab.switching import (
+    InternalError,
     OutOfOrderWitness,
     PreconditionViolation,
     SwitchMove,
@@ -90,6 +94,27 @@ def test_shuffle_without_adjacency_is_identity():
     T = parse_mixed(".|a1 / . / b1")
     assert shuffle(T) == T
     assert fully_switch(T) == T
+
+
+def test_fully_switch_tripwire(monkeypatch):
+    # a switch relation with a cycle must trip the budget, not loop forever
+    T = parse_mixed(pc.SWITCH_START)
+    move, U = available_switches(T)[0]
+    monkeypatch.setattr(
+        switching, "available_switches", lambda cur: [(move, T if cur == U else U)]
+    )
+
+    def timeout(signum, frame):
+        raise TimeoutError("fully_switch did not stop")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InternalError):
+            fully_switch(T)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_gg_out_of_order_example():

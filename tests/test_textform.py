@@ -66,9 +66,13 @@ def test_syntax_errors_positions():
         parse_mixed("a-1")
     with pytest.raises(TableauSyntaxError):
         parse_mixed("c3")
-    with pytest.raises(TableauSyntaxError):
+    with pytest.raises(TableauSyntaxError) as err:
         # dot after an entry is not a skew row
         parse_mixed("b1|.")
+    assert err.value.line == 1 and err.value.column == 1
+    with pytest.raises(TableauSyntaxError) as err:
+        parse_mixed("a1|b2 / b1|.")
+    assert err.value.line == 1 and err.value.column == 9
     with pytest.raises(TableauSyntaxError):
         # outer rows must weakly decrease
         parse_mixed("b1 / b1|b1")
