@@ -29,7 +29,8 @@ from .tableaux import (
     MixedTableau,
     alpha,
     beta,
-    classify_mixed,
+    is_alpha_column_strict,
+    is_beta_row_strict,
     is_exquisite,
     weight_hvt,
     weight_mixed,
@@ -144,8 +145,7 @@ def enum_sorted_strict(outer, inner, max_index: int) -> list[MixedTableau]:
         cells = a_cells + b_cells
         for combo in product(*pools):
             T = MixedTableau(outer, inner, dict(zip(cells, combo)))
-            flags = classify_mixed(T)
-            if flags.alpha_column_strict and flags.beta_row_strict:
+            if is_alpha_column_strict(T) and is_beta_row_strict(T):
                 out.append(T)
     return sorted(out, key=serialize_mixed)
 

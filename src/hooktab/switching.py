@@ -4,6 +4,11 @@ A switch swaps an adjacent alpha/beta pair while keeping the tableau
 alpha-column-strict and beta-row-strict; iterating to a fixed point gives a
 normal form independent of the switch order.  The shuffle is one specific
 switch strategy; GG-jdt performs a content-twisted partial switch sequence.
+
+Each public entry point validates its input once.  A switch is then checked
+locally: only the pairs that involve the two moved entries can break
+strictness, so only those are compared, and the swapped tableau is built
+without re-validating its shape.
 """
 
 from __future__ import annotations
@@ -12,7 +17,13 @@ import random
 from typing import NamedTuple, Optional
 
 from .shapes import Cell
-from .tableaux import MixedTableau, classify_mixed
+from .tableaux import (
+    MixedTableau,
+    is_alpha_column_strict,
+    is_beta_row_strict,
+    is_flagged_mixed,
+    is_sorted_alpha_beta,
+)
 
 
 class PreconditionViolation(ValueError):
@@ -35,12 +46,11 @@ class OutOfOrderWitness(NamedTuple):
 
 
 def _require_strict(T: MixedTableau, *, sorted_ab: bool = False) -> None:
-    flags = classify_mixed(T)
-    if not (flags.alpha_column_strict and flags.beta_row_strict):
+    if not (is_alpha_column_strict(T) and is_beta_row_strict(T)):
         raise PreconditionViolation(
             "tableau must be alpha-column-strict and beta-row-strict"
         )
-    if sorted_ab and not flags.sorted_alpha_beta:
+    if sorted_ab and not is_sorted_alpha_beta(T):
         raise PreconditionViolation("tableau must be (alpha,beta)-sorted")
 
 
@@ -49,17 +59,38 @@ def _target(move: SwitchMove) -> Cell:
     return (r + 1, c) if move.direction == "up" else (r, c + 1)
 
 
-def _try_switch_unchecked(T: MixedTableau, move: SwitchMove) -> Optional[MixedTableau]:
-    u = T.entry(*move.cell)
-    if u is None or u.kind != "a":
+def _fits(T: MixedTableau, old: Cell, new: Cell, axis: int) -> bool:
+    """Whether the entry at old, moved to new, keeps its kind strict in T:
+    no larger index of that kind weakly northeast of new, no smaller one
+    weakly southwest, and no equal one in its column (axis 1) or row
+    (axis 0).  Pairs without the moved entry are T's own and need no check."""
+    kind, i = T.entries[old]
+    r, c = new
+    for q, (k, j) in T.entries.items():
+        if k != kind or q == old:
+            continue
+        if j == i:
+            if q[axis] == new[axis]:
+                return False
+        elif j > i:
+            if q[0] >= r and q[1] >= c:
+                return False
+        elif q[0] <= r and q[1] <= c:
+            return False
+    return True
+
+
+def _switch(T: MixedTableau, p: Cell, q: Cell) -> Optional[MixedTableau]:
+    """T with the alpha at p and the beta at q exchanged; None unless both
+    are there and the exchange is legal."""
+    u = T.entries.get(p)
+    v = T.entries.get(q)
+    if u is None or v is None or u.kind != "a" or v.kind != "b":
         return None
-    v = T.entry(*_target(move))
-    if v is None or v.kind != "b":
-        return None
-    swapped = T.swapped(move.cell, _target(move))
-    flags = classify_mixed(swapped)
-    if flags.alpha_column_strict and flags.beta_row_strict:
-        return swapped
+    # T is strict, so the swap is legal iff the moved alpha keeps T
+    # alpha-column-strict and the moved beta keeps it beta-row-strict
+    if _fits(T, p, q, 1) and _fits(T, q, p, 0):
+        return T.swapped(p, q)
     return None
 
 
@@ -71,21 +102,27 @@ def try_switch(T: MixedTableau, move: SwitchMove) -> Optional[MixedTableau]:
     and beta-row-strictness.
     """
     _require_strict(T)
-    return _try_switch_unchecked(T, move)
+    return _switch(T, move.cell, _target(move))
 
 
 def available_switches(T: MixedTableau) -> list[tuple[SwitchMove, MixedTableau]]:
     """All legal switches with their results, scanning rows top to bottom
     and columns left to right."""
     _require_strict(T)
+    return _legal_switches(T)
+
+
+def _legal_switches(T: MixedTableau) -> list[tuple[SwitchMove, MixedTableau]]:
     out = []
     for r in range(len(T.outer), 0, -1):
         for c in range(1, T.outer[r - 1] + 1):
-            for direction in ("up", "right"):
-                move = SwitchMove((r, c), direction)
-                res = _try_switch_unchecked(T, move)
+            u = T.entries.get((r, c))
+            if u is None or u.kind != "a":
+                continue
+            for direction, q in (("up", (r + 1, c)), ("right", (r, c + 1))):
+                res = _switch(T, (r, c), q)
                 if res is not None:
-                    out.append((move, res))
+                    out.append((SwitchMove((r, c), direction), res))
     return out
 
 
@@ -110,7 +147,7 @@ def fully_switch(
     budget = n_alpha * T.num_cells
     cur = T
     for _ in range(budget + 1):
-        moves = available_switches(cur)
+        moves = _legal_switches(cur)
         if not moves:
             return cur
         if rng is None:
@@ -118,6 +155,34 @@ def fully_switch(
         else:
             cur = rng.choice(moves)[1]
     raise InternalError("fully_switch exceeded its switch budget")
+
+
+def _slide_dest(entries: dict, cell: Cell) -> Optional[Cell]:
+    """Where the shuffle moves the alpha at cell: past the beta above or to
+    the right, the upper one when both exist and its index is larger; None
+    without a beta neighbour."""
+    r, c = cell
+    up = entries.get((r + 1, c))
+    right = entries.get((r, c + 1))
+    right_is_beta = right is not None and right.kind == "b"
+    if up is not None and up.kind == "b":
+        if not right_is_beta or up.index > right.index:
+            return (r + 1, c)
+    return (r, c + 1) if right_is_beta else None
+
+
+def _shuffle_start(entries: dict) -> Optional[Cell]:
+    """The alpha the shuffle slides next: the smallest index among alphas
+    with a beta neighbour, rightmost on ties; None when there is none."""
+    eligible = [
+        (p, e.index)
+        for p, e in entries.items()
+        if e.kind == "a" and _slide_dest(entries, p) is not None
+    ]
+    if not eligible:
+        return None
+    smallest = min(i for _, i in eligible)
+    return max((p for p, i in eligible if i == smallest), key=lambda p: p[1])
 
 
 def shuffle(T: MixedTableau) -> MixedTableau:
@@ -130,38 +195,26 @@ def shuffle(T: MixedTableau) -> MixedTableau:
     exceeds the right one and right otherwise.
     """
     _require_strict(T, sorted_ab=True)
+    return _shuffle(T)
+
+
+def _shuffle(T: MixedTableau) -> MixedTableau:
     entries = dict(T.entries)
-
-    def beta_at(p):
-        e = entries.get(p)
-        return e if e is not None and e.kind == "b" else None
-
-    while True:
-        eligible = [
-            (p, e.index)
-            for p, e in entries.items()
-            if e.kind == "a"
-            and (beta_at((p[0] + 1, p[1])) or beta_at((p[0], p[1] + 1)))
-        ]
-        if not eligible:
-            break
-        smallest = min(i for _, i in eligible)
-        r, c = max((p for p, i in eligible if i == smallest), key=lambda p: p[1])
-        while True:
-            up = beta_at((r + 1, c))
-            right = beta_at((r, c + 1))
-            if up is not None and right is not None:
-                go_up = up.index > right.index
-            elif up is not None:
-                go_up = True
-            elif right is not None:
-                go_up = False
-            else:
-                break
-            dest = (r + 1, c) if go_up else (r, c + 1)
-            entries[(r, c)], entries[dest] = entries[dest], entries[(r, c)]
-            r, c = dest
-    return T.with_entries(entries)
+    # every pass of the loop makes one switch, which moves one alpha one
+    # cell up or right: n_alpha * num_cells bounds it as in fully_switch
+    n_alpha = sum(1 for e in entries.values() if e.kind == "a")
+    budget = n_alpha * T.num_cells
+    cell = None
+    for _ in range(budget + 1):
+        dest = None if cell is None else _slide_dest(entries, cell)
+        if dest is None:
+            cell = _shuffle_start(entries)
+            if cell is None:
+                return T.with_entries(entries)
+            dest = _slide_dest(entries, cell)
+        entries[cell], entries[dest] = entries[dest], entries[cell]
+        cell = dest
+    raise InternalError("shuffle exceeded its switch budget")
 
 
 def _out_of_order(T: MixedTableau) -> list[OutOfOrderWitness]:
@@ -233,13 +286,11 @@ def gg_jdt(T: MixedTableau, trace: bool = False):
 
 def is_biflagged(T: MixedTableau) -> bool:
     """Sorted and strict, with both T and shuffle(T) flagged-mixed."""
-    flags = classify_mixed(T)
     if not (
-        flags.alpha_column_strict
-        and flags.beta_row_strict
-        and flags.sorted_alpha_beta
+        is_flagged_mixed(T)
+        and is_sorted_alpha_beta(T)
+        and is_alpha_column_strict(T)
+        and is_beta_row_strict(T)
     ):
         return False
-    if not flags.flagged_mixed:
-        return False
-    return classify_mixed(shuffle(T)).flagged_mixed
+    return is_flagged_mixed(_shuffle(T))

@@ -250,6 +250,9 @@ class MixedTableau:
         for e in entries.values():
             if e.kind not in ("a", "b") or (e.kind == "a" and e.index <= 0):
                 raise ValueError(f"bad mixed entry {e}")
+        self._fill(outer, inner, entries)
+
+    def _fill(self, outer, inner, entries) -> None:
         self.outer = outer
         self.inner = inner
         self.entries = entries
@@ -267,9 +270,15 @@ class MixedTableau:
         return len(self.entries)
 
     def swapped(self, p: Cell, q: Cell) -> "MixedTableau":
+        """The tableau with the entries of cells p and q exchanged.
+
+        Exchanging two cells of a valid tableau keeps the shape and the
+        entries, so the result skips the constructor's validation."""
         entries = dict(self.entries)
         entries[p], entries[q] = entries[q], entries[p]
-        return MixedTableau(self.outer, self.inner, entries)
+        out = object.__new__(MixedTableau)
+        out._fill(self.outer, self.inner, entries)
+        return out
 
     def with_entries(self, entries) -> "MixedTableau":
         return MixedTableau(self.outer, self.inner, entries)
@@ -312,12 +321,16 @@ class StrictnessFlags(NamedTuple):
     flagged_mixed: bool
 
 
+def _indexed(T: MixedTableau, kind: str) -> list[tuple[Cell, int]]:
+    return [(p, e.index) for p, e in T.entries.items() if e.kind == kind]
+
+
 def _gamma_strict(items: list[tuple[Cell, int]], same_axis: int) -> bool:
     # (1) an index weakly southwest of another must be at least as large;
     # (2) no repeated index in one column (axis 1) resp. row (axis 0)
-    for (p, i) in items:
+    for ((r, c), i) in items:
         for (q, j) in items:
-            if p != q and p[0] <= q[0] and p[1] <= q[1] and i < j:
+            if i < j and r <= q[0] and c <= q[1]:
                 return False
     seen = set()
     for ((r, c), i) in items:
@@ -328,7 +341,29 @@ def _gamma_strict(items: list[tuple[Cell, int]], same_axis: int) -> bool:
     return True
 
 
-def _totally_column_strict(T: MixedTableau) -> bool:
+def is_alpha_column_strict(T: MixedTableau) -> bool:
+    """Alpha indices weakly decrease northeast, none twice in a column."""
+    return _gamma_strict(_indexed(T, "a"), 1)
+
+
+def is_alpha_row_strict(T: MixedTableau) -> bool:
+    """Alpha indices weakly decrease northeast, none twice in a row."""
+    return _gamma_strict(_indexed(T, "a"), 0)
+
+
+def is_beta_column_strict(T: MixedTableau) -> bool:
+    """Beta indices weakly decrease northeast, none twice in a column."""
+    return _gamma_strict(_indexed(T, "b"), 1)
+
+
+def is_beta_row_strict(T: MixedTableau) -> bool:
+    """Beta indices weakly decrease northeast, none twice in a row."""
+    return _gamma_strict(_indexed(T, "b"), 0)
+
+
+def is_totally_column_strict(T: MixedTableau) -> bool:
+    """Indices strictly decrease up columns and weakly along rows,
+    whatever the kinds."""
     for (r, c), e in T.entries.items():
         above = T.entry(r + 1, c)
         if above is not None and not e.index > above.index:
@@ -352,7 +387,18 @@ def _is_sorted(T: MixedTableau, first_kind: str) -> bool:
     return all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1))
 
 
-def _is_flagged(T: MixedTableau) -> bool:
+def is_sorted_alpha_beta(T: MixedTableau) -> bool:
+    """The alphas fill nu/inner and the betas outer/nu for a partition nu."""
+    return _is_sorted(T, "a")
+
+
+def is_sorted_beta_alpha(T: MixedTableau) -> bool:
+    """The betas fill nu/inner and the alphas outer/nu for a partition nu."""
+    return _is_sorted(T, "b")
+
+
+def is_flagged_mixed(T: MixedTableau) -> bool:
+    """Each alpha_k in column c has 0 < k < c, each beta_k in row r 0 < k < r."""
     for (r, c), e in T.entries.items():
         bound = c if e.kind == "a" else r
         if not 0 < e.index < bound:
@@ -362,17 +408,18 @@ def _is_flagged(T: MixedTableau) -> bool:
 
 def classify_mixed(T: MixedTableau) -> StrictnessFlags:
     """Evaluate all strictness/sortedness/flag predicates on a mixed tableau."""
-    alphas = [(p, e.index) for p, e in T.entries.items() if e.kind == "a"]
-    betas = [(p, e.index) for p, e in T.entries.items() if e.kind == "b"]
+    # the four strictness predicates, sharing one scan per kind
+    alphas = _indexed(T, "a")
+    betas = _indexed(T, "b")
     return StrictnessFlags(
         alpha_column_strict=_gamma_strict(alphas, 1),
         alpha_row_strict=_gamma_strict(alphas, 0),
         beta_column_strict=_gamma_strict(betas, 1),
         beta_row_strict=_gamma_strict(betas, 0),
-        totally_column_strict=_totally_column_strict(T),
-        sorted_alpha_beta=_is_sorted(T, "a"),
-        sorted_beta_alpha=_is_sorted(T, "b"),
-        flagged_mixed=_is_flagged(T),
+        totally_column_strict=is_totally_column_strict(T),
+        sorted_alpha_beta=is_sorted_alpha_beta(T),
+        sorted_beta_alpha=is_sorted_beta_alpha(T),
+        flagged_mixed=is_flagged_mixed(T),
     )
 
 
@@ -393,6 +440,6 @@ def c_beta_shift(T: MixedTableau, sign: str) -> MixedTableau:
 
 def is_exquisite(T: MixedTableau) -> bool:
     """Flagged-mixed with totally column-strict positive beta shift."""
-    if not _is_flagged(T):
+    if not is_flagged_mixed(T):
         return False
-    return _totally_column_strict(c_beta_shift(T, "+"))
+    return is_totally_column_strict(c_beta_shift(T, "+"))

@@ -3,7 +3,13 @@ import signal
 import pytest
 
 import paper_cases as pc
-from hooktab.enumeration import enum_biflagged, enum_exquisite, enum_sorted_strict
+from oracles import brute_classify
+from hooktab.enumeration import (
+    enum_biflagged,
+    enum_exquisite,
+    enum_mixed,
+    enum_sorted_strict,
+)
 from hooktab.shapes import skew_shapes
 from hooktab import switching
 from hooktab.switching import (
@@ -19,7 +25,7 @@ from hooktab.switching import (
     shuffle,
     try_switch,
 )
-from hooktab.tableaux import classify_mixed, weight_mixed
+from hooktab.tableaux import MixedTableau, classify_mixed, weight_mixed
 from hooktab.textform import parse_mixed, serialize_mixed
 
 
@@ -96,25 +102,85 @@ def test_shuffle_without_adjacency_is_identity():
     assert fully_switch(T) == T
 
 
-def test_fully_switch_tripwire(monkeypatch):
-    # a switch relation with a cycle must trip the budget, not loop forever
-    T = parse_mixed(pc.SWITCH_START)
-    move, U = available_switches(T)[0]
-    monkeypatch.setattr(
-        switching, "available_switches", lambda cur: [(move, T if cur == U else U)]
-    )
-
+def _expect_tripwire(run):
     def timeout(signum, frame):
-        raise TimeoutError("fully_switch did not stop")
+        raise TimeoutError("the switch loop did not stop")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
         with pytest.raises(InternalError):
-            fully_switch(T)
+            run()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_fully_switch_tripwire(monkeypatch):
+    # a switch relation with a cycle must trip the budget, not loop forever
+    T = parse_mixed(pc.SWITCH_START)
+    move, U = available_switches(T)[0]
+    monkeypatch.setattr(
+        switching, "_legal_switches", lambda cur: [(move, T if cur == U else U)]
+    )
+    _expect_tripwire(lambda: fully_switch(T))
+
+
+def test_shuffle_tripwire(monkeypatch):
+    # a slide rule that sends the alpha back and forth must trip the budget
+    T = parse_mixed("a1|b1")
+    monkeypatch.setattr(
+        switching,
+        "_slide_dest",
+        lambda entries, cell: (cell[0], 2 if cell[1] == 1 else 1),
+    )
+    _expect_tripwire(lambda: shuffle(T))
+
+
+def _brute_switches(T):
+    """Every legal switch of T in scan order, built through the validating
+    constructor and judged by the pair-scan oracle."""
+    out = []
+    for r in range(len(T.outer), 0, -1):
+        for c in range(1, T.outer[r - 1] + 1):
+            for direction, q in (("up", (r + 1, c)), ("right", (r, c + 1))):
+                u, v = T.entries.get((r, c)), T.entries.get(q)
+                if u is None or v is None or (u.kind, v.kind) != ("a", "b"):
+                    continue
+                entries = dict(T.entries)
+                entries[(r, c)], entries[q] = v, u
+                S = MixedTableau(T.outer, T.inner, entries)
+                flags = brute_classify(S)
+                if flags[0] and flags[3]:  # alpha-column, beta-row strict
+                    out.append((((r, c), direction), S))
+    return out
+
+
+def test_available_switches_match_brute_force():
+    # every state reachable from the switching-theorem inputs ...
+    seen = set()
+    todo = [
+        T
+        for outer, inner in skew_shapes(4)
+        for T in enum_sorted_strict(outer, inner, 3)
+    ]
+    while todo:
+        T = todo.pop()
+        if T in seen:
+            continue
+        seen.add(T)
+        expected = _brute_switches(T)
+        assert available_switches(T) == expected, serialize_mixed(T)
+        todo.extend(S for _, S in expected)
+    # ... and every strict tableau over alphas 1..2 and betas 0..2
+    extra = 0
+    for outer, inner in skew_shapes(4):
+        for T in enum_mixed(outer, inner, (1, 2), (0, 1, 2)):
+            flags = brute_classify(T)
+            if flags[0] and flags[3] and T not in seen:
+                extra += 1
+                assert available_switches(T) == _brute_switches(T), serialize_mixed(T)
+    assert (len(seen), extra) == (3094, 838)
 
 
 def test_gg_out_of_order_example():

@@ -8,6 +8,7 @@ from hooktab.shapes import skew_cells
 from hooktab.tableaux import (
     HookCell,
     HookValuedTableau,
+    MixedEntry,
     MixedTableau,
     NonpositiveBetaIndex,
     alpha,
@@ -15,12 +16,32 @@ from hooktab.tableaux import (
     c_beta_shift,
     classify_mixed,
     hvt_violations,
+    is_alpha_column_strict,
+    is_alpha_row_strict,
+    is_beta_column_strict,
+    is_beta_row_strict,
     is_exquisite,
+    is_flagged_mixed,
+    is_sorted_alpha_beta,
+    is_sorted_beta_alpha,
+    is_totally_column_strict,
     validate_hvt,
     weight_hvt,
     weight_mixed,
 )
 from hooktab.textform import parse_hvt, parse_mixed
+
+# the named predicates in the field order of StrictnessFlags / brute_classify
+PREDICATES = (
+    is_alpha_column_strict,
+    is_alpha_row_strict,
+    is_beta_column_strict,
+    is_beta_row_strict,
+    is_totally_column_strict,
+    is_sorted_alpha_beta,
+    is_sorted_beta_alpha,
+    is_flagged_mixed,
+)
 
 
 def brute_force_violations(T):
@@ -108,6 +129,32 @@ def test_classify_single_cell_all_true():
     assert all(classify_mixed(T))
 
 
+def test_named_predicates_match_brute_force_examples():
+    for text in (pc.GGJDT_INPUT, pc.GGJDT_CBETA_PLUS, ".|a1"):
+        T = parse_mixed(text)
+        assert tuple(pred(T) for pred in PREDICATES) == brute_classify(T)
+
+
+def test_swapped_matches_validating_constructor():
+    T = parse_mixed(pc.GGJDT_INPUT)
+    cells = T.cells()
+    for p, q in zip(cells, cells[1:]):
+        S = T.swapped(p, q)
+        built = MixedTableau(T.outer, T.inner, S.entries)
+        assert S == built and hash(S) == hash(built)
+        assert S.entries[p] == T.entries[q] and S.entries[q] == T.entries[p]
+
+
+def test_constructor_rejects_bad_fillings():
+    with pytest.raises(ValueError):
+        MixedTableau((2,), (), {(1, 1): alpha(1)})  # cell (1,2) missing
+    with pytest.raises(ValueError):
+        MixedTableau((1,), (), {(1, 1): alpha(1), (2, 1): beta(1)})  # extra cell
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            MixedTableau((1,), (), {(1, 1): MixedEntry("a", k)})
+
+
 def test_c_beta_shift_pinned():
     E = parse_mixed(pc.GGJDT_RESULT)
     assert c_beta_shift(E, "+") == parse_mixed(pc.GGJDT_CBETA_PLUS)
@@ -168,3 +215,9 @@ def test_c_beta_shift_round_trip(data):
 def test_classify_matches_brute_force(data):
     T = _build_mixed(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)), data)
     assert tuple(classify_mixed(T)) == brute_classify(T)
+
+
+@given(st.data())
+def test_named_predicates_match_brute_force(data):
+    T = _build_mixed(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)), data)
+    assert tuple(pred(T) for pred in PREDICATES) == brute_classify(T)
