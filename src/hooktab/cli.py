@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from . import enumeration, genfun
 from .enumeration import CHECK_IDS, EnumBounds
@@ -51,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a tableau read from stdin")
     p.add_argument("--family", choices=("hvt", "mixed"), default="hvt")
+    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("uncrowd", help="run the uncrowding map on an HVT")
     p.add_argument(
@@ -60,15 +62,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "first), or LAinf / ALinf for the canonical orders",
     )
     p.add_argument("--trace", action="store_true")
+    p.set_defaults(handler=_cmd_uncrowd)
 
     p = sub.add_parser("shuffle", help="jeu-de-taquin shuffle of a mixed tableau")
+    p.set_defaults(handler=_cmd_shuffle)
 
     p = sub.add_parser("switch", help="apply switches to a mixed tableau")
     p.add_argument("--all", action="store_true", help="switch to the normal form")
-    p.add_argument("--seed", type=int, default=None, help="use a seeded random strategy")
+    seeded = "use a seeded random strategy (with --all)"
+    p.add_argument("--seed", type=int, default=None, help=seeded)
+    p.set_defaults(handler=_cmd_switch)
 
     p = sub.add_parser("ggjdt", help="Goulden-Greene jeu de taquin")
     p.add_argument("--trace", action="store_true")
+    p.set_defaults(handler=_cmd_ggjdt)
 
     p = sub.add_parser("enum", help="enumerate a tableau family")
     p.add_argument("--family", choices=("hvt", "ssyt", "exq", "bft"), required=True)
@@ -77,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", type=_partition_arg, default=())
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--excess", type=int, default=2)
+    p.set_defaults(handler=_cmd_enum)
 
     p = sub.add_parser("verify", help="run an exhaustive theorem check")
     p.add_argument("--check", choices=CHECK_IDS, required=True)
@@ -89,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     no_effect = "accepted for compatibility; changes neither the work nor the output"
     p.add_argument("--seed", type=int, default=0, help=no_effect)
     p.add_argument("--jobs", type=int, default=1, help=no_effect)
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("identity", help="generating-function identity checks")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, default=())
@@ -99,14 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the determinant formula instead of the three-way expansion",
     )
+    p.set_defaults(handler=_cmd_identity)
     return parser
-
-
-def _read_stdin(stdin) -> str:
-    data = stdin.read()
-    if isinstance(data, bytes):
-        data = data.decode()
-    return data
 
 
 def _diff_polys(out, names, polys) -> bool:
@@ -127,18 +130,23 @@ def _diff_polys(out, names, polys) -> bool:
     return clean
 
 
-def _cmd_validate(args, stdin, out) -> int:
-    text = _read_stdin(stdin)
+def _read_valid_hvt(stdin, out):
+    """The HVT read from stdin, or None after printing its violations."""
+    T = parse_hvt(stdin.read())
+    bad = hvt_violations(T)
+    for v in bad:
+        print(" ".join(str(x) for x in v), file=out)
+    return None if bad else T
+
+
+def _cmd_validate(args, stdin, out, err) -> int:
     if args.family == "hvt":
-        T = parse_hvt(text)
-        bad = hvt_violations(T)
-        if bad:
-            for v in bad:
-                print(" ".join(str(x) for x in v), file=out)
+        T = _read_valid_hvt(stdin, out)
+        if T is None:
             return 1
         print(f"valid (weight {weight_hvt(T)})", file=out)
         return 0
-    T = parse_mixed(text)
+    T = parse_mixed(stdin.read())
     flags = classify_mixed(T)
     print("valid", file=out)
     for name, value in flags._asdict().items():
@@ -146,12 +154,9 @@ def _cmd_validate(args, stdin, out) -> int:
     return 0
 
 
-def _cmd_uncrowd(args, stdin, out) -> int:
-    T = parse_hvt(_read_stdin(stdin))
-    bad = hvt_violations(T)
-    if bad:
-        for v in bad:
-            print(" ".join(str(x) for x in v), file=out)
+def _cmd_uncrowd(args, stdin, out, err) -> int:
+    T = _read_valid_hvt(stdin, out)
+    if T is None:
         return 1
     if args.word in ("LAinf", "ALinf"):
         word = _canonical_word(T, args.word[:2])
@@ -169,31 +174,37 @@ def _cmd_uncrowd(args, stdin, out) -> int:
     return 0
 
 
-def _cmd_switchlike(args, stdin, out) -> int:
-    T = parse_mixed(_read_stdin(stdin))
-    if args.verb == "shuffle":
-        print(serialize_mixed(shuffle(T)), file=out)
-    elif args.verb == "switch":
-        if args.all:
-            strategy = "deterministic" if args.seed is None else "random"
-            print(serialize_mixed(fully_switch(T, strategy, args.seed)), file=out)
-        else:
-            moves = available_switches(T)
-            print(serialize_mixed(moves[0][1] if moves else T), file=out)
-    else:  # ggjdt
-        if args.trace:
-            result, steps = gg_jdt(T, trace=True)
-            print(serialize_mixed(T), file=out)
-            for step in steps:
-                print("--slide-->", file=out)
-                print(serialize_mixed(step), file=out)
-        else:
-            result = gg_jdt(T)
-        print(f"E: {serialize_mixed(result)}", file=out)
+def _cmd_shuffle(args, stdin, out, err) -> int:
+    print(serialize_mixed(shuffle(parse_mixed(stdin.read()))), file=out)
     return 0
 
 
-def _cmd_enum(args, out, err) -> int:
+def _cmd_switch(args, stdin, out, err) -> int:
+    T = parse_mixed(stdin.read())
+    if args.all:
+        strategy = "deterministic" if args.seed is None else "random"
+        print(serialize_mixed(fully_switch(T, strategy, args.seed)), file=out)
+    else:
+        moves = available_switches(T)
+        print(serialize_mixed(moves[0][1] if moves else T), file=out)
+    return 0
+
+
+def _cmd_ggjdt(args, stdin, out, err) -> int:
+    T = parse_mixed(stdin.read())
+    if args.trace:
+        result, steps = gg_jdt(T, trace=True)
+        print(serialize_mixed(T), file=out)
+        for step in steps:
+            print("--slide-->", file=out)
+            print(serialize_mixed(step), file=out)
+    else:
+        result = gg_jdt(T)
+    print(f"E: {serialize_mixed(result)}", file=out)
+    return 0
+
+
+def _cmd_enum(args, stdin, out, err) -> int:
     if args.family in ("hvt", "ssyt"):
         if args.lam is None:
             print(f"error: enum --family {args.family} needs --lambda", file=err)
@@ -218,7 +229,7 @@ def _cmd_enum(args, out, err) -> int:
     return 0
 
 
-def _cmd_verify(args, out, err) -> int:
+def _cmd_verify(args, stdin, out, err) -> int:
     report = enumeration.verify(
         args.check,
         args.lam,
@@ -235,48 +246,38 @@ def _cmd_verify(args, out, err) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_identity(args, out) -> int:
+def _cmd_identity(args, stdin, out, err) -> int:
     lam = args.lam
+    cap = sum(lam) + args.excess
     if args.det:
-        cap = sum(lam) + args.excess
         lhs, rhs = genfun.det_formula_check(lam, args.n, cap)
         ok = _diff_polys(out, ("determinant", "vandermonde*hvt"), (lhs, rhs))
-        return 0 if ok else 1
-    cap = sum(lam) + args.excess
-    bounds = EnumBounds(args.n, args.excess)
-    polys = (
-        genfun.hvt_genfun(lam, bounds, cap),
-        genfun.schur_expansion_genfun(lam, bounds, cap, "EXQ"),
-        genfun.schur_expansion_genfun(lam, bounds, cap, "BFT"),
-    )
-    ok = _diff_polys(out, ("hvt", "exq", "bft"), polys)
+    else:
+        bounds = EnumBounds(args.n, args.excess)
+        polys = (
+            genfun.hvt_genfun(lam, bounds, cap),
+            genfun.schur_expansion_genfun(lam, bounds, cap, "EXQ"),
+            genfun.schur_expansion_genfun(lam, bounds, cap, "BFT"),
+        )
+        ok = _diff_polys(out, ("hvt", "exq", "bft"), polys)
     return 0 if ok else 1
 
 
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
-    """Dispatch one command; returns the exit code."""
+    """Dispatch one command; returns the exit code.
+
+    sys.stdout and sys.stderr are swapped for stdout and stderr while the
+    arguments are parsed, so argparse's usage errors and --help reach them."""
     stdin = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.verb == "validate":
-            return _cmd_validate(args, stdin, out)
-        if args.verb == "uncrowd":
-            return _cmd_uncrowd(args, stdin, out)
-        if args.verb in ("shuffle", "switch", "ggjdt"):
-            return _cmd_switchlike(args, stdin, out)
-        if args.verb == "enum":
-            return _cmd_enum(args, out, err)
-        if args.verb == "verify":
-            return _cmd_verify(args, out, err)
-        if args.verb == "identity":
-            return _cmd_identity(args, out)
-        return 2
+        return args.handler(args, stdin, out, err)
     except (TableauSyntaxError, PreconditionViolation, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1

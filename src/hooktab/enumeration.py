@@ -186,7 +186,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self, include_elapsed: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "schema": 1,
             "check_id": self.check_id,
@@ -194,8 +194,6 @@ class VerificationReport:
             "instances_checked": self.instances_checked,
             "failures": self.failures,
         }
-        if include_elapsed:
-            payload["elapsed"] = self.elapsed
         return json.dumps(payload, sort_keys=True, indent=2)
 
 

@@ -19,7 +19,7 @@ from .polynomials import (
     beta_mono,
     x_mono,
 )
-from .shapes import Partition, check_partition, partitions_containing
+from .shapes import check_partition, partitions_containing
 from .tableaux import weight_hvt, weight_mixed
 
 
@@ -28,11 +28,7 @@ def schur_poly(mu, n: int, cap: int) -> TruncatedPolynomial:
     mu = check_partition(mu)
     if cap < sum(mu):
         raise CapTooSmall(f"cap {cap} cannot hold degree {sum(mu)}")
-    terms: dict[Monomial, int] = {}
-    for T in enum_ssyt(mu, n):
-        m = weight_hvt(T)
-        terms[m] = terms.get(m, 0) + 1
-    return TruncatedPolynomial(terms, cap)
+    return _weight_sum(enum_ssyt(mu, n), weight_hvt, cap)
 
 
 def hvt_genfun(lam, bounds: EnumBounds, cap: int) -> TruncatedPolynomial:
@@ -42,17 +38,13 @@ def hvt_genfun(lam, bounds: EnumBounds, cap: int) -> TruncatedPolynomial:
         raise CapTooSmall(
             f"cap {cap} cannot hold degree {sum(lam) + bounds.max_excess}"
         )
-    terms: dict[Monomial, int] = {}
-    for T in enum_hvt(lam, bounds):
-        m = weight_hvt(T)
-        terms[m] = terms.get(m, 0) + 1
-    return TruncatedPolynomial(terms, cap)
+    return _weight_sum(enum_hvt(lam, bounds), weight_hvt, cap)
 
 
-def _inner_weight_sum(tableaux, cap: int) -> TruncatedPolynomial:
+def _weight_sum(tableaux, weight, cap: int) -> TruncatedPolynomial:
     terms: dict[Monomial, int] = {}
-    for Q in tableaux:
-        m = weight_mixed(Q)
+    for T in tableaux:
+        m = weight(T)
         terms[m] = terms.get(m, 0) + 1
     return TruncatedPolynomial(terms, cap)
 
@@ -71,7 +63,7 @@ def schur_expansion_genfun(
         if len(mu) > n:
             continue
         enum = enum_exquisite if model == "EXQ" else enum_biflagged
-        coeff = _inner_weight_sum(enum(mu, lam), cap)
+        coeff = _weight_sum(enum(mu, lam), weight_mixed, cap)
         if coeff:
             total = total + schur_poly(mu, n, cap) * coeff
     return total

@@ -47,12 +47,6 @@ def check_skew(outer, inner) -> tuple[Partition, Partition]:
     return outer, inner
 
 
-def cells(lam: Partition) -> Iterator[Cell]:
-    for r, width in enumerate(lam, 1):
-        for c in range(1, width + 1):
-            yield (r, c)
-
-
 def skew_cells(outer: Partition, inner: Partition) -> Iterator[Cell]:
     for r, width in enumerate(outer, 1):
         for c in range(part(inner, r) + 1, width + 1):
@@ -98,22 +92,7 @@ def partitions_up_to(n: int) -> list[Partition]:
 
 def subpartitions(mu: Partition) -> list[Partition]:
     """All partitions contained in mu."""
-    out: list[Partition] = []
-
-    def grow(prefix: list[int], row: int, prev: int) -> None:
-        if row == len(mu):
-            trimmed = list(prefix)
-            while trimmed and trimmed[-1] == 0:
-                trimmed.pop()
-            out.append(tuple(trimmed))
-            return
-        for v in range(min(prev, mu[row]) + 1):
-            prefix.append(v)
-            grow(prefix, row + 1, v)
-            prefix.pop()
-
-    grow([], 0, mu[0] if mu else 0)
-    return sorted(set(out))
+    return partitions_between((), mu)
 
 
 def skew_shapes(max_outer_size: int) -> list[tuple[Partition, Partition]]:

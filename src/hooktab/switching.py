@@ -126,6 +126,14 @@ def _legal_switches(T: MixedTableau) -> list[tuple[SwitchMove, MixedTableau]]:
     return out
 
 
+def _switch_budget(T: MixedTableau) -> int:
+    """Bound on the switches from T to any fixed point."""
+    # each switch moves one alpha one cell up or right, so the sum of r+c
+    # over alpha cells strictly increases: n_alpha * num_cells bounds it
+    n_alpha = sum(1 for e in T.entries.values() if e.kind == "a")
+    return n_alpha * T.num_cells
+
+
 def fully_switch(
     T: MixedTableau, strategy: str = "deterministic", seed: int | None = None
 ) -> MixedTableau:
@@ -141,12 +149,8 @@ def fully_switch(
     if strategy not in ("deterministic", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed) if strategy == "random" else None
-    # each switch moves one alpha one cell up or right, so the sum of r+c
-    # over alpha cells strictly increases: n_alpha * num_cells bounds the loop
-    n_alpha = sum(1 for e in T.entries.values() if e.kind == "a")
-    budget = n_alpha * T.num_cells
     cur = T
-    for _ in range(budget + 1):
+    for _ in range(_switch_budget(T) + 1):
         moves = _legal_switches(cur)
         if not moves:
             return cur
@@ -200,12 +204,8 @@ def shuffle(T: MixedTableau) -> MixedTableau:
 
 def _shuffle(T: MixedTableau) -> MixedTableau:
     entries = dict(T.entries)
-    # every pass of the loop makes one switch, which moves one alpha one
-    # cell up or right: n_alpha * num_cells bounds it as in fully_switch
-    n_alpha = sum(1 for e in entries.values() if e.kind == "a")
-    budget = n_alpha * T.num_cells
     cell = None
-    for _ in range(budget + 1):
+    for _ in range(_switch_budget(T) + 1):
         dest = None if cell is None else _slide_dest(entries, cell)
         if dest is None:
             cell = _shuffle_start(entries)
@@ -264,8 +264,7 @@ def gg_jdt(T: MixedTableau, trace: bool = False):
     tableau after each elementary slide.
     """
     _require_strict(T, sorted_ab=True)
-    n_alpha = sum(1 for e in T.entries.values() if e.kind == "a")
-    budget = 2 * n_alpha * T.num_cells
+    budget = 2 * _switch_budget(T)
     cur = T
     steps: list[MixedTableau] = []
     while True:

@@ -16,7 +16,6 @@ from .shapes import (
     Cell,
     Partition,
     check_skew,
-    contains,
     content,
     is_partition,
     part,

@@ -92,6 +92,17 @@ def arm_bump(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpReco
                 k = v
                 target_pos = rr
 
+    def migrate(origin_cell: HookCell, target_cell: HookCell):
+        stay = tuple(l for l in origin_cell.legs if l <= a)
+        move = [l for l in origin_cell.legs if l > a]
+        merged = list(target_cell.legs)
+        for l in move:
+            bisect.insort(merged, l)
+        return (
+            HookCell(origin_cell.hook, origin_cell.arms, stay),
+            HookCell(target_cell.hook, target_cell.arms, merged),
+        )
+
     if k is not None:
         rt = target_pos
         target = T.cell(rt, c + 1)
@@ -103,23 +114,14 @@ def arm_bump(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpReco
             legs[legs.index(k)] = a
             new_target = HookCell(target.hook, _insert_sorted(target.arms, k), legs)
         if rt == r:
-            stay = tuple(l for l in new_origin.legs if l <= a)
-            move = [l for l in new_origin.legs if l > a]
-            new_origin = HookCell(new_origin.hook, new_origin.arms, stay)
-            merged = list(new_target.legs)
-            for l in move:
-                bisect.insort(merged, l)
-            new_target = HookCell(new_target.hook, new_target.arms, merged)
+            new_origin, new_target = migrate(new_origin, new_target)
         out = T.replace(r, c, new_origin).replace(rt, c + 1, new_target)
         record = BumpRecord("arm", (r, c), None, a)
     else:
         created = (column_height(T.shape, c + 1) + 1, c + 1)
         new_cell = HookCell(a)
         if created == (r, c + 1):
-            stay = tuple(l for l in new_origin.legs if l <= a)
-            move = tuple(l for l in new_origin.legs if l > a)
-            new_origin = HookCell(new_origin.hook, new_origin.arms, stay)
-            new_cell = HookCell(a, (), move)
+            new_origin, new_cell = migrate(new_origin, new_cell)
         out = T.replace(r, c, new_origin).add_cell(created, new_cell)
         record = BumpRecord("arm", (r, c), created, a)
         assert created[0] <= r and created[1] > c

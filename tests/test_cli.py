@@ -21,6 +21,8 @@ def test_validate_invalid_hvt():
     code, out, _ = invoke(["validate"], pc.T2)
     assert code == 1
     assert "RowViolation" in out and "ColumnViolation" in out
+    # uncrowd reads its input through the same check
+    assert invoke(["uncrowd", "--word", "A"], pc.T2)[:2] == (1, out)
 
 
 def test_validate_mixed():
@@ -36,8 +38,12 @@ def test_validate_syntax_error():
 
 
 def test_usage_error_exit_code():
-    code, _, _ = invoke(["uncrowd"])  # missing --word
-    assert code == 2
+    code, out, err = invoke(["uncrowd"])  # missing --word
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --word" in err
+    code, out, err = invoke(["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: hooktab")
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
     code, out, err = invoke(["enum", "--family", "hvt"])

@@ -192,7 +192,6 @@ def test_verify_report_json_shape():
     text = rep.to_json()
     assert '"schema": 1' in text
     assert "elapsed" not in text
-    assert "elapsed" in rep.to_json(include_elapsed=True)
 
 
 def test_verify_jobs_deterministic():

@@ -54,6 +54,13 @@ def test_subpartitions():
     subs = subpartitions((2, 1))
     assert subs == sorted({(), (1,), (1, 1), (2,), (2, 1)})
     assert subpartitions(()) == [()]
+    # oracle: filter every partition of size up to |mu| by containment
+    for mu in partitions_up_to(7):
+        below = sorted(nu for nu in partitions_up_to(sum(mu)) if contains(mu, nu))
+        assert subpartitions(mu) == below
+        for inner in below:
+            between = [nu for nu in below if contains(nu, inner)]
+            assert partitions_between(inner, mu) == between
 
 
 def test_partitions_between():
