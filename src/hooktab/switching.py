@@ -3,7 +3,8 @@
 A switch swaps an adjacent alpha/beta pair while keeping the tableau
 alpha-column-strict and beta-row-strict; iterating to a fixed point gives a
 normal form independent of the switch order.  The shuffle is one specific
-switch strategy; GG-jdt performs a content-twisted partial switch sequence.
+switch strategy; GG-jdt runs the same slide loop but moves an alpha only
+past a beta it is out of order with, a content-twisted partial sequence.
 
 Each public entry point validates its input once.  A switch is then checked
 locally: only the pairs that involve the two moved entries can break
@@ -175,18 +176,53 @@ def _slide_dest(entries: dict, cell: Cell) -> Optional[Cell]:
     return (r, c + 1) if right_is_beta else None
 
 
-def _shuffle_start(entries: dict) -> Optional[Cell]:
-    """The alpha the shuffle slides next: the smallest index among alphas
-    with a beta neighbour, rightmost on ties; None when there is none."""
-    eligible = [
-        (p, e.index)
-        for p, e in entries.items()
-        if e.kind == "a" and _slide_dest(entries, p) is not None
-    ]
-    if not eligible:
-        return None
-    smallest = min(i for _, i in eligible)
-    return max((p for p, i in eligible if i == smallest), key=lambda p: p[1])
+def _gg_moves(entries: dict, cell: Cell) -> tuple[bool, bool]:
+    """Whether the alpha at cell is out of order with the beta to its right
+    and with the beta above it, comparing the beta index shifted by the
+    content of its cell."""
+    r, c = cell
+    i = entries[cell].index
+    right = entries.get((r, c + 1))
+    up = entries.get((r + 1, c))
+    return (
+        right is not None and right.kind == "b" and i < right.index + (c + 1) - r,
+        up is not None and up.kind == "b" and i <= up.index + c - (r + 1),
+    )
+
+
+def _gg_dest(entries: dict, cell: Cell) -> Optional[Cell]:
+    """Where GG-jdt moves the alpha at cell: past an out-of-order beta, the
+    upper one when both are and its index is larger; None when neither is."""
+    horizontal, vertical = _gg_moves(entries, cell)
+    r, c = cell
+    if vertical:
+        if not horizontal or entries[(r + 1, c)].index > entries[(r, c + 1)].index:
+            return (r + 1, c)
+    return (r, c + 1) if horizontal else None
+
+
+def _slide(T: MixedTableau, dest, budget: int):
+    """Slide alphas of T until dest(entries, cell) moves none: each round
+    moves the alpha of smallest movable index, rightmost on ties, for as
+    long as dest finds it a cell.  Returns the result and the tableau after
+    each slide; more than budget slides is a bug."""
+    cur, steps = T, []
+    while True:
+        movable = [
+            (e.index, -p[1], p)
+            for p, e in cur.entries.items()
+            if e.kind == "a" and dest(cur.entries, p) is not None
+        ]
+        if not movable:
+            return cur, steps
+        cell = min(movable)[2]
+        to = dest(cur.entries, cell)
+        while to is not None:
+            if len(steps) == budget:
+                raise InternalError("slide loop exceeded its budget")
+            cur = cur.swapped(cell, to)
+            steps.append(cur)
+            cell, to = to, dest(cur.entries, to)
 
 
 def shuffle(T: MixedTableau) -> MixedTableau:
@@ -199,88 +235,31 @@ def shuffle(T: MixedTableau) -> MixedTableau:
     exceeds the right one and right otherwise.
     """
     _require_strict(T, sorted_ab=True)
-    return _shuffle(T)
-
-
-def _shuffle(T: MixedTableau) -> MixedTableau:
-    entries = dict(T.entries)
-    cell = None
-    for _ in range(_switch_budget(T) + 1):
-        dest = None if cell is None else _slide_dest(entries, cell)
-        if dest is None:
-            cell = _shuffle_start(entries)
-            if cell is None:
-                return T.with_entries(entries)
-            dest = _slide_dest(entries, cell)
-        entries[cell], entries[dest] = entries[dest], entries[cell]
-        cell = dest
-    raise InternalError("shuffle exceeded its switch budget")
-
-
-def _out_of_order(T: MixedTableau) -> list[OutOfOrderWitness]:
-    out = []
-    for (r, c) in sorted(T.entries):
-        e = T.entries[(r, c)]
-        if e.kind != "a":
-            continue
-        right = T.entry(r, c + 1)
-        up = T.entry(r + 1, c)
-        horiz = (
-            right is not None
-            and right.kind == "b"
-            and e.index < right.index + (c + 1) - r
-        )
-        vert = (
-            up is not None and up.kind == "b" and e.index <= up.index + c - (r + 1)
-        )
-        if horiz or vert:
-            out.append(OutOfOrderWitness((r, c), horiz, vert))
-    return out
+    return _slide(T, _slide_dest, _switch_budget(T))[0]
 
 
 def gg_out_of_order(T: MixedTableau) -> list[OutOfOrderWitness]:
     """All out-of-order alpha entries with the applicable slide directions."""
     _require_strict(T)
-    return _out_of_order(T)
-
-
-def _gg_slide(T: MixedTableau, wit: OutOfOrderWitness) -> MixedTableau:
-    r, c = wit.cell
-    if wit.horizontal_applies and wit.vertical_applies:
-        t = T.entry(r + 1, c).index
-        s = T.entry(r, c + 1).index
-        go_up = t > s
-    else:
-        go_up = wit.vertical_applies
-    dest = (r + 1, c) if go_up else (r, c + 1)
-    return T.swapped((r, c), dest)
+    return [
+        OutOfOrderWitness(p, *moves)
+        for p in sorted(T.entries)
+        if T.entries[p].kind == "a" and any(moves := _gg_moves(T.entries, p))
+    ]
 
 
 def gg_jdt(T: MixedTableau, trace: bool = False):
     """Goulden-Greene jeu de taquin.
 
-    Slide the rightmost alpha of smallest out-of-order index until nothing
-    is out of order.  With trace=True returns (result, intermediates), the
-    tableau after each elementary slide.
+    The shuffle's slide loop, except that an alpha moves only past a beta
+    it is out of order with (see gg_out_of_order): slide the rightmost
+    alpha of smallest out-of-order index until nothing is out of order.
+    With trace=True returns (result, intermediates), the tableau after each
+    elementary slide.
     """
     _require_strict(T, sorted_ab=True)
-    budget = 2 * _switch_budget(T)
-    cur = T
-    steps: list[MixedTableau] = []
-    while True:
-        wits = _out_of_order(cur)
-        if not wits:
-            break
-        smallest = min(cur.entries[w.cell].index for w in wits)
-        chosen = max(
-            (w for w in wits if cur.entries[w.cell].index == smallest),
-            key=lambda w: w.cell[1],
-        )
-        cur = _gg_slide(cur, chosen)
-        steps.append(cur)
-        if len(steps) > budget:
-            raise InternalError("GG-jdt exceeded its slide budget")
-    return (cur, steps) if trace else cur
+    result, steps = _slide(T, _gg_dest, 2 * _switch_budget(T))
+    return (result, steps) if trace else result
 
 
 def is_biflagged(T: MixedTableau) -> bool:
@@ -292,4 +271,4 @@ def is_biflagged(T: MixedTableau) -> bool:
         and is_beta_row_strict(T)
     ):
         return False
-    return is_flagged_mixed(_shuffle(T))
+    return is_flagged_mixed(_slide(T, _slide_dest, _switch_budget(T))[0])

@@ -71,9 +71,10 @@ class _Cursor:
         start = self.pos
         if allow_negative and self.peek() == "-":
             self.take()
-        if not self.peek().isdigit():
+        # ASCII digits only (str.isdigit accepts "²"); "" at the end fails too
+        if not "0" <= self.peek() <= "9":
             self.fail(what)
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.take()
         return int(self.text[start : self.pos])
 

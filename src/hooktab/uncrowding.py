@@ -285,10 +285,12 @@ def has_type(T: HookValuedTableau, typed_word) -> bool:
     eps in {0, 1}, written like the word subscripts (applied right to left);
     each bump must change the cell count by exactly its eps.
     """
-    cur = T
-    for op, eps in reversed(list(typed_word)):
+    word = list(typed_word)[::-1]
+    for op, eps in word:
         if op not in ("A", "L") or eps not in (0, 1):
             raise ValueError(f"bad typed letter ({op!r}, {eps!r})")
+    cur = T
+    for op, eps in word:
         nxt, _ = (arm_bump if op == "A" else leg_bump)(cur)
         if nxt.num_cells - cur.num_cells != eps:
             return False

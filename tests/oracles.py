@@ -95,3 +95,43 @@ def bialternant(mu, n, cap):
                 m = m * x_mono(j, p)
         total = total + TruncatedPolynomial.monomial(m, cap, -1 if inv % 2 else 1)
     return total
+
+
+def brute_gg_jdt(T):
+    """GG-jdt by its literal rule on a plain dict.
+
+    An alpha_i at (r, c) is out of order with the beta_j to its right when
+    i < j + content, and with the beta_j above it when i <= j + content,
+    the content c' - r' taken at the beta's cell (r', c').  After every
+    slide all out-of-order alphas are found again; the rightmost one of
+    smallest index swaps with its out-of-order beta, the upper one when
+    both are and its index is larger.  Returns the final entries and the
+    entries after each slide.
+    """
+    state = dict(T.entries)
+    states = []
+    while True:
+        candidates = []
+        for (r, c), e in state.items():
+            if e.kind != "a":
+                continue
+            targets = []
+            for (r2, c2), weak in (((r, c + 1), False), ((r + 1, c), True)):
+                b = state.get((r2, c2))
+                if b is not None and b.kind == "b":
+                    shifted = b.index + c2 - r2
+                    if e.index < shifted or (weak and e.index == shifted):
+                        targets.append((r2, c2))
+            if targets:
+                candidates.append((e.index, -c, (r, c), targets))
+        if not candidates:
+            return state, states
+        _, _, cell, targets = min(candidates)
+        if len(targets) == 2:
+            right, up = targets
+            dest = up if state[up].index > state[right].index else right
+        else:
+            dest = targets[0]
+        state = dict(state)
+        state[cell], state[dest] = state[dest], state[cell]
+        states.append(state)

@@ -3,7 +3,7 @@ import signal
 import pytest
 
 import paper_cases as pc
-from oracles import brute_classify
+from oracles import brute_classify, brute_gg_jdt
 from hooktab.enumeration import (
     enum_biflagged,
     enum_exquisite,
@@ -137,6 +137,17 @@ def test_shuffle_tripwire(monkeypatch):
     _expect_tripwire(lambda: shuffle(T))
 
 
+def test_gg_jdt_tripwire(monkeypatch):
+    # the same budget guards GG-jdt's slides
+    T = parse_mixed("a1|b1")
+    monkeypatch.setattr(
+        switching,
+        "_gg_dest",
+        lambda entries, cell: (cell[0], 2 if cell[1] == 1 else 1),
+    )
+    _expect_tripwire(lambda: gg_jdt(T))
+
+
 def _brute_switches(T):
     """Every legal switch of T in scan order, built through the validating
     constructor and judged by the pair-scan oracle."""
@@ -225,6 +236,29 @@ def test_gg_jdt_example_trace():
         (p, q) = sorted(moved)
         assert (q[0] - p[0], q[1] - p[1]) in ((0, 1), (1, 0))
         prev = s
+
+
+def test_gg_jdt_matches_brute_force():
+    # every slide of every switching and bijection input, against the
+    # literal rule re-evaluated from scratch after each slide
+    inputs = [
+        T
+        for outer, inner in skew_shapes(5)
+        for T in enum_sorted_strict(outer, inner, 3)
+    ]
+    inputs += [
+        T
+        for outer, inner in skew_shapes(6)
+        for T in enum_biflagged(outer, inner)
+    ]
+    slides = 0
+    for T in inputs:
+        result, steps = gg_jdt(T, trace=True)
+        end, states = brute_gg_jdt(T)
+        assert result.entries == end, serialize_mixed(T)
+        assert [s.entries for s in steps] == states, serialize_mixed(T)
+        slides += len(steps)
+    assert (len(inputs), slides) == (6403, 4403)
 
 
 def test_gg_jdt_identity_when_in_order():

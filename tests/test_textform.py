@@ -76,6 +76,14 @@ def test_syntax_errors_positions():
     with pytest.raises(TableauSyntaxError):
         # outer rows must weakly decrease
         parse_mixed("b1 / b1|b1")
+    # only ASCII digits make an index
+    with pytest.raises(TableauSyntaxError) as err:
+        parse_hvt("1²")
+    assert err.value.line == 1 and err.value.column == 2
+    with pytest.raises(TableauSyntaxError):
+        parse_hvt("1|٣")
+    with pytest.raises(TableauSyntaxError):
+        parse_mixed("a²")
 
 
 def test_parse_tableau_dispatch():

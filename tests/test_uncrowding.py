@@ -224,6 +224,9 @@ def test_has_type_examples():
     assert not has_type(ssyt, [("A", 1)])
     assert has_type(ssyt, [("A", 0), ("L", 0)])
     with pytest.raises(ValueError):
+        # checked before any bump, even one that already fails the type
+        has_type(ssyt, [("B", 1), ("A", 1)])
+    with pytest.raises(ValueError):
         has_type(T, [("B", 1)])
 
 
