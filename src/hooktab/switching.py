@@ -57,7 +57,11 @@ def _require_strict(T: MixedTableau, *, sorted_ab: bool = False) -> None:
 
 def _target(move: SwitchMove) -> Cell:
     (r, c) = move.cell
-    return (r + 1, c) if move.direction == "up" else (r, c + 1)
+    if move.direction == "up":
+        return (r + 1, c)
+    if move.direction == "right":
+        return (r, c + 1)
+    raise ValueError(f"direction must be 'up' or 'right', got {move.direction!r}")
 
 
 def _fits(T: MixedTableau, old: Cell, new: Cell, axis: int) -> bool:
@@ -98,9 +102,9 @@ def _switch(T: MixedTableau, p: Cell, q: Cell) -> Optional[MixedTableau]:
 def try_switch(T: MixedTableau, move: SwitchMove) -> Optional[MixedTableau]:
     """Apply one switch if legal, else None.
 
-    The move names a cell that must hold an alpha and a direction whose
-    target must hold a beta; the swap must preserve alpha-column-strictness
-    and beta-row-strictness.
+    The move names a cell that must hold an alpha and a direction, "up" or
+    "right" (anything else raises ValueError), whose target must hold a beta;
+    the swap must preserve alpha-column-strictness and beta-row-strictness.
     """
     _require_strict(T)
     return _switch(T, move.cell, _target(move))

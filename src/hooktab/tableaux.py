@@ -279,9 +279,6 @@ class MixedTableau:
         out._fill(self.outer, self.inner, entries)
         return out
 
-    def with_entries(self, entries) -> "MixedTableau":
-        return MixedTableau(self.outer, self.inner, entries)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MixedTableau) and self._key == other._key
 

@@ -2,9 +2,11 @@
 
 An arm bump moves the largest arm entry of the rightmost arm-bearing column
 one column to the right; a leg bump moves the largest leg entry of the
-topmost leg-bearing row one row up.  Iterating a bump until the shape first
-grows gives a single uncrowding step; a word over {A, L} drives the full map,
-which also builds a mixed recording tableau on the new cells.
+topmost leg-bearing row one row up.  One routine serves both: a leg bump is
+an arm bump read along rows, with the strict and weak comparisons swapped.
+Iterating a bump until the shape first grows gives a single uncrowding step;
+a word over {A, L} drives the full map, which also builds a mixed recording
+tableau on the new cells.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import bisect
 from typing import NamedTuple, Optional
 
-from .shapes import Cell, column_height, part
+from .shapes import Cell
+from .switching import InternalError
 from .tableaux import (
     HookCell,
     HookValuedTableau,
@@ -36,97 +39,85 @@ class UncrowdResult(NamedTuple):
     records: tuple[BumpRecord, ...]
 
 
-def _insert_sorted(values: tuple[int, ...], v: int) -> tuple[int, ...]:
-    out = list(values)
-    bisect.insort(out, v)
-    return tuple(out)
-
-
 def _assert_valid(T: HookValuedTableau) -> None:
     bad = hvt_violations(T)
     assert not bad, f"bump produced an invalid tableau: {bad}"
 
 
-def _select_arm(T: HookValuedTableau):
-    """Cell and value of the largest arm entry in the rightmost arm column."""
-    col = max((c for (_, c), cell in T.cells() if cell.arms), default=None)
-    if col is None:
-        return None
-    in_col = [((r, c), cell) for (r, c), cell in T.cells() if c == col and cell.arms]
-    a = max(cell.arms[-1] for _, cell in in_col)
-    holders = [rc for rc, cell in in_col if cell.arms[-1] == a]
-    assert len(holders) == 1, "largest arm entry of a column must sit in one cell"
-    return holders[0], a
+def _bump(T: HookValuedTableau, arm: bool):
+    """One arm (arm=True) or leg bump, written once in (line, pos)
+    coordinates: an arm moves from column line to line + 1 at row pos, a leg
+    from row line to line + 1 at column pos.  "own" is the list that bumps
+    (arms or legs), "other" the list that may follow it."""
+    kind = "arm" if arm else "leg"
+    # lines[L] lists the cells of line L as (hook, own, other) from pos 1 up:
+    # T.cells() visits the rows in order and each row left to right
+    lines: dict[int, list] = {}
+    for (r, c), x in T.cells():
+        if arm:
+            lines.setdefault(c, []).append((x.hook, x.arms, x.legs))
+        else:
+            lines.setdefault(r, []).append((x.hook, x.legs, x.arms))
+    line = max((L for L, xs in lines.items() if any(o for _, o, _ in xs)), default=None)
+    if line is None:
+        return T, None
+    v = max(own[-1] for _, own, _ in lines[line] if own)
+    holders = [p for p, (_, own, _) in enumerate(lines[line], 1) if own and own[-1] == v]
+    assert len(holders) == 1, f"largest {kind} entry of a line must sit in one cell"
+    pos = holders[0]
+    hook, own, other = lines[line][pos - 1]
+    origin = (hook, own[:-1], other)
 
+    # an arm takes the smallest entry >= v and carries the origin's legs > v;
+    # a leg takes the smallest entry > v and carries the origin's arms >= v
+    least, carried = (v, v + 1) if arm else (v + 1, v)
+    nxt = lines.get(line + 1, [])
+    k = at = None
+    for p, (h, o, t) in enumerate(nxt, 1):
+        for w in (h,) + o + t:
+            if w >= least and (k is None or w < k):  # first minimum wins
+                k, at = w, p
+    if k is None:
+        at = len(nxt) + 1
+        assert at <= pos
+        target = (v, (), ())
+    else:
+        h, o, t = nxt[at - 1]
+        assert not o, f"the line after the last {kind} line has {kind}s"
+        if h == k:
+            target = (v, (k,), t)
+        else:
+            t = list(t)
+            t[t.index(k)] = v
+            target = (h, (k,), t)
+    if at == pos:
+        merged = list(target[2])
+        for x in other:
+            if x >= carried:
+                bisect.insort(merged, x)
+        origin = (hook, own[:-1], tuple(x for x in other if x < carried))
+        target = (target[0], target[1], merged)
 
-def _select_leg(T: HookValuedTableau):
-    """Cell and value of the largest leg entry in the topmost leg row."""
-    row = max((r for (r, _), cell in T.cells() if cell.legs), default=None)
-    if row is None:
-        return None
-    in_row = [((r, c), cell) for (r, c), cell in T.cells() if r == row and cell.legs]
-    l = max(cell.legs[-1] for _, cell in in_row)
-    holders = [rc for rc, cell in in_row if cell.legs[-1] == l]
-    assert len(holders) == 1, "largest leg entry of a row must sit in one cell"
-    return holders[0], l
+    def place(L, p):
+        return (p, L) if arm else (L, p)
+
+    def cell(h, o, t):
+        return HookCell(h, o, t) if arm else HookCell(h, t, o)
+
+    out = T.replace(*place(line, pos), cell(*origin))
+    if k is None:
+        created = place(line + 1, at)
+        out = out.add_cell(created, cell(*target))
+    else:
+        created = None
+        out = out.replace(*place(line + 1, at), cell(*target))
+    _assert_valid(out)
+    return out, BumpRecord(kind, place(line, pos), created, v)
 
 
 def arm_bump(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
     """One arm-uncrowding bump; identity (record None) when T has no arms."""
-    sel = _select_arm(T)
-    if sel is None:
-        return T, None
-    (r, c), a = sel
-    origin = T.cell(r, c)
-    new_origin = HookCell(origin.hook, origin.arms[:-1], origin.legs)
-
-    # smallest entry k >= a in column c+1 (unique cell by column strictness)
-    target_pos = None
-    k = None
-    for rr in range(1, len(T.shape) + 1):
-        cell = T.cell_at(rr, c + 1)
-        if cell is None:
-            continue
-        for v in cell.entries():
-            if v >= a and (k is None or v < k):
-                k = v
-                target_pos = rr
-
-    def migrate(origin_cell: HookCell, target_cell: HookCell):
-        stay = tuple(l for l in origin_cell.legs if l <= a)
-        move = [l for l in origin_cell.legs if l > a]
-        merged = list(target_cell.legs)
-        for l in move:
-            bisect.insort(merged, l)
-        return (
-            HookCell(origin_cell.hook, origin_cell.arms, stay),
-            HookCell(target_cell.hook, target_cell.arms, merged),
-        )
-
-    if k is not None:
-        rt = target_pos
-        target = T.cell(rt, c + 1)
-        assert not target.arms, "column right of the rightmost arm column has arms"
-        if target.hook == k:
-            new_target = HookCell(a, _insert_sorted(target.arms, k), target.legs)
-        else:
-            legs = list(target.legs)
-            legs[legs.index(k)] = a
-            new_target = HookCell(target.hook, _insert_sorted(target.arms, k), legs)
-        if rt == r:
-            new_origin, new_target = migrate(new_origin, new_target)
-        out = T.replace(r, c, new_origin).replace(rt, c + 1, new_target)
-        record = BumpRecord("arm", (r, c), None, a)
-    else:
-        created = (column_height(T.shape, c + 1) + 1, c + 1)
-        new_cell = HookCell(a)
-        if created == (r, c + 1):
-            new_origin, new_cell = migrate(new_origin, new_cell)
-        out = T.replace(r, c, new_origin).add_cell(created, new_cell)
-        record = BumpRecord("arm", (r, c), created, a)
-        assert created[0] <= r and created[1] > c
-    _assert_valid(out)
-    return out, record
+    return _bump(T, True)
 
 
 def leg_bump(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
@@ -137,71 +128,25 @@ def leg_bump(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpReco
     follow it into the cell it lands in (they would otherwise break column
     strictness with the origin cell).
     """
-    sel = _select_leg(T)
-    if sel is None:
-        return T, None
-    (r, c), l = sel
-    origin = T.cell(r, c)
-    new_origin = HookCell(origin.hook, origin.arms, origin.legs[:-1])
-
-    # smallest entry k > l in row r+1, leftmost holder when the value repeats
-    k = None
-    target_pos = None
-    width_above = part(T.shape, r + 1)
-    for cc in range(1, width_above + 1):
-        cell = T.cell(r + 1, cc)
-        for v in cell.entries():
-            # strict "<" keeps the leftmost holder when the value repeats
-            if v > l and (k is None or v < k):
-                k = v
-                target_pos = cc
-
-    def migrate(origin_cell: HookCell, target_cell: HookCell):
-        stay = tuple(a for a in origin_cell.arms if a < l)
-        move = [a for a in origin_cell.arms if a >= l]
-        merged = list(target_cell.arms)
-        for a in move:
-            bisect.insort(merged, a)
-        return (
-            HookCell(origin_cell.hook, stay, origin_cell.legs),
-            HookCell(target_cell.hook, merged, target_cell.legs),
-        )
-
-    if k is not None:
-        ct = target_pos
-        target = T.cell(r + 1, ct)
-        assert not target.legs, "row above the topmost leg row has legs"
-        if target.hook == k:
-            new_target = HookCell(l, target.arms, _insert_sorted(target.legs, k))
-        else:
-            arms = list(target.arms)
-            arms[arms.index(k)] = l
-            new_target = HookCell(target.hook, arms, _insert_sorted(target.legs, k))
-        if ct == c:
-            new_origin, new_target = migrate(new_origin, new_target)
-        out = T.replace(r, c, new_origin).replace(r + 1, ct, new_target)
-        record = BumpRecord("leg", (r, c), None, l)
-    else:
-        created = (r + 1, width_above + 1)
-        new_cell = HookCell(l)
-        if created == (r + 1, c):
-            new_origin, new_cell = migrate(new_origin, new_cell)
-        out = T.replace(r, c, new_origin).add_cell(created, new_cell)
-        record = BumpRecord("leg", (r, c), created, l)
-        assert created[0] > r and created[1] <= c
-    _assert_valid(out)
-    return out, record
+    return _bump(T, False)
 
 
-def _uncrowd_step(T, bump, kind):
+def _uncrowd_step(T, bump):
+    """Bump until the shape grows.  A bump that does not grow the shape moves
+    the bumped value from line L to L + 1 of the unchanged shape, so a step
+    needs at most as many bumps as T has lines, never more than T.num_cells."""
     cur, rec = bump(T)
     if rec is None:
         return T, None
     first = rec
-    while rec.created is None:
+    for _ in range(T.num_cells):
+        if rec.created is not None:
+            break
         cur, rec = bump(cur)
         assert rec is not None, "bumping died before the shape grew"
-    return cur, BumpRecord(kind, first.origin, rec.created, first.moved_entry)
+    if rec.created is None:
+        raise InternalError("an uncrowding step exceeded its bump budget")
+    return cur, first._replace(created=rec.created)
 
 
 def arm_uncrowd(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
@@ -210,12 +155,12 @@ def arm_uncrowd(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpR
     The record keeps the origin cell of the *first* bump (whose column names
     the recorded alpha index) and the cell created by the last one.
     """
-    return _uncrowd_step(T, arm_bump, "arm")
+    return _uncrowd_step(T, arm_bump)
 
 
 def leg_uncrowd(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
     """Iterate leg_bump until the shape first grows; identity without legs."""
-    return _uncrowd_step(T, leg_bump, "leg")
+    return _uncrowd_step(T, leg_bump)
 
 
 def _uncrowd_steps(T: HookValuedTableau, word: str):

@@ -41,6 +41,9 @@ def test_try_switch_requires_alpha():
     assert try_switch(T, SwitchMove((3, 1), "right")) is None  # beta cell
     assert try_switch(T, SwitchMove((1, 2), "right")) is None  # alpha-alpha
     assert try_switch(T, SwitchMove((1, 6), "up")) is None  # empty target
+    for direction in ("down", "Right"):  # only "up" and "right" exist
+        with pytest.raises(ValueError, match="direction"):
+            try_switch(T, SwitchMove((1, 4), direction))
 
 
 def test_try_switch_precondition():

@@ -1,7 +1,12 @@
+import signal
+
 import pytest
 
 import paper_cases as pc
+from hooktab import uncrowding
 from hooktab.enumeration import EnumBounds, enum_hvt
+from hooktab.shapes import partitions_up_to
+from hooktab.switching import InternalError
 from hooktab.tableaux import (
     HookValuedTableau,
     MixedTableau,
@@ -13,6 +18,7 @@ from hooktab.tableaux import (
 )
 from hooktab.textform import parse_hvt, parse_mixed, serialize_hvt, serialize_mixed
 from hooktab.uncrowding import (
+    BumpRecord,
     arm_bump,
     arm_uncrowd,
     has_type,
@@ -69,6 +75,58 @@ def simulate_one_arm_bump(T):
     return cells
 
 
+def simulate_one_leg_bump(T):
+    """Dual of simulate_one_arm_bump, on the same raw dicts: the largest leg
+    of the topmost leg row moves one row up, to the smallest entry strictly
+    larger than it (leftmost on ties), and arms >= it follow it."""
+    cells = {
+        pos: {"h": cell.hook, "A": list(cell.arms), "L": list(cell.legs)}
+        for pos, cell in T.cells()
+    }
+    leg_rows = [r for (r, c), d in cells.items() if d["L"]]
+    if not leg_rows:
+        return cells
+    row = max(leg_rows)
+    l = max(v for (r, c), d in cells.items() if r == row for v in d["L"])
+    (r, c) = next(p for p, d in cells.items() if p[0] == row and l in d["L"])
+    cells[(r, c)]["L"].remove(l)
+    row_above = {p: d for p, d in cells.items() if p[0] == row + 1}
+    bigger = [
+        (v, p) for p, d in row_above.items()
+        for v in [d["h"]] + d["A"] + d["L"] if v > l
+    ]
+    if bigger:
+        k, target = min(bigger)
+        d = cells[target]
+        if d["h"] == k:
+            d["h"] = l
+        else:
+            d["A"][d["A"].index(k)] = l
+            d["A"].sort()
+        d["L"] = sorted(d["L"] + [k])
+        if target[1] == c:
+            movers = [a for a in cells[(r, c)]["A"] if a >= l]
+            cells[(r, c)]["A"] = [a for a in cells[(r, c)]["A"] if a < l]
+            d["A"] = sorted(d["A"] + movers)
+    else:
+        width = max((p[1] for p in cells if p[0] == row + 1), default=0)
+        new = (row + 1, width + 1)
+        cells[new] = {"h": l, "A": [], "L": []}
+        if new == (r + 1, c):
+            movers = [a for a in cells[(r, c)]["A"] if a >= l]
+            cells[(r, c)]["A"] = [a for a in cells[(r, c)]["A"] if a < l]
+            cells[new]["A"] = sorted(movers)
+    return cells
+
+
+def small_hvts():
+    """Every hook-valued tableau with |lambda| <= 4, entries <= 3 and
+    excess <= 2."""
+    out = [T for lam in partitions_up_to(4) for T in enum_hvt(lam, EnumBounds(3, 2))]
+    assert len(out) == 2103
+    return out
+
+
 def cells_of(T):
     return {
         pos: {"h": cell.hook, "A": list(cell.arms), "L": list(cell.legs)}
@@ -91,6 +149,19 @@ def test_arm_bump_matches_simulator():
         T = parse_hvt(start)
         bumped, _ = arm_bump(T)
         assert cells_of(bumped) == simulate_one_arm_bump(T)
+    for T in small_hvts():
+        bumped, _ = arm_bump(T)
+        assert cells_of(bumped) == simulate_one_arm_bump(T)
+
+
+def test_leg_bump_matches_simulator():
+    for start in (pc.LEG_BUMP_TRACE[0], pc.UNCROWD_INPUT, pc.T1):
+        T = parse_hvt(start)
+        bumped, _ = leg_bump(T)
+        assert cells_of(bumped) == simulate_one_leg_bump(T)
+    for T in small_hvts():
+        bumped, _ = leg_bump(T)
+        assert cells_of(bumped) == simulate_one_leg_bump(T)
 
 
 def test_arm_bump_identity_without_arms():
@@ -257,3 +328,22 @@ def test_uncrowd_weight_preservation():
                 assert weight_hvt(T) == weight_hvt(res.insertion) * weight_mixed(
                     res.recording
                 )
+
+
+def test_uncrowd_step_tripwire(monkeypatch):
+    # a bump that never grows the shape must trip the step's budget, not loop
+    T = parse_hvt(pc.ARM_BUMP_TRACE[0])
+    stuck = BumpRecord("arm", (2, 2), None, 1)
+    monkeypatch.setattr(uncrowding, "arm_bump", lambda cur: (cur, stuck))
+
+    def timeout(signum, frame):
+        raise TimeoutError("the uncrowding step did not stop")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InternalError):
+            arm_uncrowd(T)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
