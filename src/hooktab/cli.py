@@ -42,6 +42,17 @@ def _partition_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad partition {text!r}")
 
 
+def _count_arg(text: str) -> int:
+    """A bound that counts something (variables, excess, cells): an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hooktab",
@@ -82,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_partition_arg, default=None)
     p.add_argument("--outer", type=_partition_arg, default=None)
     p.add_argument("--inner", type=_partition_arg, default=())
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--excess", type=int, default=2)
+    p.add_argument("--n", type=_count_arg, default=3)
+    p.add_argument("--excess", type=_count_arg, default=2)
     p.set_defaults(handler=_cmd_enum)
 
     p = sub.add_parser("verify", help="run an exhaustive theorem check")
@@ -91,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_partition_arg, default=None)
     p.add_argument("--outer", type=_partition_arg, default=None)
     p.add_argument("--inner", type=_partition_arg, default=None)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--excess", type=int, default=2)
-    p.add_argument("--max-outer", type=int, default=6)
+    p.add_argument("--n", type=_count_arg, default=3)
+    p.add_argument("--excess", type=_count_arg, default=2)
+    p.add_argument("--max-outer", type=_count_arg, default=6)
     no_effect = "accepted for compatibility; changes neither the work nor the output"
     p.add_argument("--seed", type=int, default=0, help=no_effect)
     p.add_argument("--jobs", type=int, default=1, help=no_effect)
@@ -101,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="generating-function identity checks")
     p.add_argument("--lambda", dest="lam", type=_partition_arg, default=())
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--excess", type=int, default=2)
+    p.add_argument("--n", type=_count_arg, default=3)
+    p.add_argument("--excess", type=_count_arg, default=2)
     p.add_argument(
         "--det",
         action="store_true",

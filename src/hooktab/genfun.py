@@ -9,13 +9,16 @@ coefficients from the determinant side by graded exact division.
 
 from __future__ import annotations
 
-from itertools import permutations
+from operator import add, sub
 
 from .enumeration import EnumBounds, enum_biflagged, enum_exquisite, enum_hvt, enum_ssyt
 from .polynomials import (
     CapTooSmall,
     Monomial,
     TruncatedPolynomial,
+    _flat_key,
+    _from_flat_key,
+    _layout,
     beta_mono,
     x_mono,
 )
@@ -107,31 +110,31 @@ def _matrix_entry(lam, n, i, j, cap) -> TruncatedPolynomial:
 
 
 def determinant_side(lam, n: int, cap: int) -> TruncatedPolynomial:
-    """Permutation expansion of the determinant in the closed formula."""
+    """The determinant in the closed formula, expanded by minors on rows.
+
+    D(S), the minor on rows 1..|S| and the column set S, is the sum over j
+    in S of (-1)^#{s in S : s > j} * D(S - {j}) * entry(|S|, j); each
+    minor is built once from those of the row before, so the expansion
+    takes n * 2^(n-1) products instead of the n * n! of the permutations.
+    """
     lam = check_partition(lam)
-    entries = {
-        (i, j): _matrix_entry(lam, n, i, j, cap)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
-    total = TruncatedPolynomial.zero(cap)
-    for perm in permutations(range(1, n + 1)):
-        sign = _perm_sign(perm)
-        prod = TruncatedPolynomial.const(sign, cap)
-        for i, j in enumerate(perm, 1):
-            prod = prod * entries[(i, j)]
-        total = total + prod
-    return total
-
-
-def _perm_sign(perm) -> int:
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv % 2 else 1
+    # minors on the rows so far, keyed by their column set as a bit mask
+    minors = {0: TruncatedPolynomial.const(1, cap)}
+    for i in range(1, n + 1):
+        row = [_matrix_entry(lam, n, i, j, cap) for j in range(1, n + 1)]
+        bigger = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1:
+                    continue
+                term = minor * entry
+                # the columns of cols right of j, j itself not in cols
+                if (cols >> j).bit_count() % 2:
+                    term = -term
+                key = cols | 1 << j
+                bigger[key] = bigger[key] + term if key in bigger else term
+        minors = bigger
+    return minors[(1 << n) - 1]
 
 
 def det_formula_check(lam, n: int, cap: int):
@@ -159,47 +162,34 @@ def det_formula_check(lam, n: int, cap: int):
 # Coefficient extraction (independent counting oracle)
 
 
-def _exponent_key(m: Monomial, n: int, max_a: int, max_b: int):
-    xs = dict(m.x)
-    aa = dict(m.a)
-    bb = dict(m.b)
-    return (
-        tuple(xs.get(i, 0) for i in range(1, n + 1)),
-        tuple(aa.get(i, 0) for i in range(1, max_a + 1)),
-        tuple(bb.get(i, 0) for i in range(1, max_b + 1)),
-    )
-
-
 def _exact_divide(p: TruncatedPolynomial, v: TruncatedPolynomial, n: int):
-    """Exact division of p by v (v monic in lex order); fails loudly if the
-    division is not exact."""
-    max_a = max((i for m in p.terms for i, _ in m.a), default=0)
-    max_b = max((i for m in p.terms for i, _ in m.b), default=0)
+    """Exact division of p by v in n x-variables (v monic in lex order);
+    raises ArithmeticError if v is not monic or the division is not exact.
 
-    def key(m):
-        return _exponent_key(m, n, max_a, max_b)
-
-    v_lead = max(v.terms, key=key)
-    assert v.terms[v_lead] == 1, "divisor must be monic in lex order"
+    Every monomial is handled as its exponent key, so each key is built
+    once and the leading term is the largest key of the remainder."""
+    nx, na, nb = _layout([*p.terms, *v.terms])
+    nx = max(nx, n)
+    divisor = [(_flat_key(m, nx, na, nb), c) for m, c in v.terms.items()]
+    v_lead, v_coeff = max(divisor)
+    if v_coeff != 1:
+        raise ArithmeticError("divisor must be monic in lex order")
     quotient: dict[Monomial, int] = {}
-    rem = dict(p.terms)
+    rem = {_flat_key(m, nx, na, nb): c for m, c in p.terms.items()}
     while rem:
-        lead = max(rem, key=key)
-        lk, vk = key(lead), key(v_lead)
-        diff_x = tuple(a - b for a, b in zip(lk[0], vk[0]))
-        assert all(d >= 0 for d in diff_x), "division is not exact"
-        t = Monomial(
-            x={i + 1: e for i, e in enumerate(diff_x)},
-            a=lead.a,
-            b=lead.b,
-        )
+        lead = max(rem)
+        t = tuple(map(sub, lead, v_lead))
+        if min(t) < 0:
+            raise ArithmeticError("division is not exact")
         coeff = rem[lead]
-        quotient[t] = quotient.get(t, 0) + coeff
-        for vm, vc in v.terms.items():
-            m = t * vm
-            rem[m] = rem.get(m, 0) - coeff * vc
-            if rem[m] == 0:
-                del rem[m]
+        quotient[_from_flat_key(t, nx, na)] = coeff
+        for vk, vc in divisor:
+            k = tuple(map(add, t, vk))
+            c = rem.get(k, 0) - coeff * vc
+            if c:
+                rem[k] = c
+            else:
+                del rem[k]
     return quotient
 
 

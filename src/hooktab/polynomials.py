@@ -4,11 +4,24 @@ Coefficients are Python ints, so they are exact at any magnitude.  A
 TruncatedPolynomial drops every monomial whose total degree in the x
 variables exceeds its cap; addition and multiplication are only defined
 between polynomials with equal caps.
+
+A monomial stores each of its three variable groups as an exponent vector:
+position i - 1 holds the exponent of index i, and the vector has no
+trailing zeros, so equal monomials have equal vectors and a product adds
+them entrywise.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from bisect import bisect_right
+from itertools import islice
+from operator import add
+from typing import Mapping
+
+
+MAX_INDEX = 1 << 16
+"""The largest variable index a Monomial takes: exponent vectors are dense,
+so an index costs memory in proportion to its size."""
 
 
 class CapMismatch(ValueError):
@@ -19,53 +32,101 @@ class CapTooSmall(ValueError):
     """The requested truncation cannot hold the object being built."""
 
 
-def _norm(group) -> tuple[tuple[int, int], ...]:
-    if isinstance(group, Mapping):
-        items: Iterable[tuple[int, int]] = group.items()
-    else:
-        items = group
+def _norm(group) -> tuple[int, ...]:
+    """The exponent vector of an index -> exponent mapping or of (index,
+    exponent) pairs; powers of a repeated index add up."""
+    pairs = group.items() if hasattr(group, "items") else group
     acc: dict[int, int] = {}
-    for idx, exp in items:
+    for idx, exp in pairs:
         if exp:
             acc[idx] = acc.get(idx, 0) + exp
     for idx, exp in acc.items():
         if idx < 1 or exp < 0:
             raise ValueError(f"bad variable power ({idx}, {exp})")
-    return tuple(sorted((i, e) for i, e in acc.items() if e))
+        if idx > MAX_INDEX:
+            raise ValueError(f"variable index {idx} above the limit {MAX_INDEX}")
+    if not acc:
+        return ()
+    vec = [0] * max(acc)
+    for idx, exp in acc.items():
+        vec[idx - 1] = exp
+    return _trim(tuple(vec))
+
+
+def _trim(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """vec without its trailing zeros."""
+    if not vec or vec[-1]:
+        return vec
+    end = len(vec) - 1
+    while end and not vec[end - 1]:
+        end -= 1
+    return vec[:end]
+
+
+def _sparse(vec: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple((i, e) for i, e in enumerate(vec, 1) if e)
+
+
+def _vadd(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Entrywise sum of two exponent vectors (no trailing zeros arise)."""
+    if len(u) < len(v):
+        u, v = v, u
+    if not v:
+        return u
+    return tuple(map(add, u, v)) + u[len(v):]
 
 
 class Monomial:
-    """A product of powers of x_i, alpha_i, beta_i (all indices >= 1)."""
+    """A product of powers of x_i, alpha_i, beta_i (all indices >= 1).
 
-    __slots__ = ("x", "a", "b", "_hash")
+    xv, av and bv are the exponent vectors of the x, alpha and beta
+    variables; x, a and b give the same exponents as sorted (index,
+    exponent) pairs."""
+
+    __slots__ = ("xv", "av", "bv", "x_degree", "_hash")
 
     def __init__(self, x=(), a=(), b=()):
-        self.x = _norm(x)
-        self.a = _norm(a)
-        self.b = _norm(b)
-        self._hash = hash((self.x, self.a, self.b))
+        self._fill(_norm(x), _norm(a), _norm(b))
+
+    def _fill(self, xv, av, bv) -> None:
+        self.xv = xv
+        self.av = av
+        self.bv = bv
+        self.x_degree = sum(xv)
+        self._hash = hash((xv, av, bv))
 
     @property
-    def x_degree(self) -> int:
-        return sum(e for _, e in self.x)
+    def x(self) -> tuple[tuple[int, int], ...]:
+        return _sparse(self.xv)
+
+    @property
+    def a(self) -> tuple[tuple[int, int], ...]:
+        return _sparse(self.av)
+
+    @property
+    def b(self) -> tuple[tuple[int, int], ...]:
+        return _sparse(self.bv)
 
     @property
     def alpha_degree(self) -> int:
-        return sum(e for _, e in self.a)
+        return sum(self.av)
 
     @property
     def beta_degree(self) -> int:
-        return sum(e for _, e in self.b)
+        return sum(self.bv)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.x + other.x, self.a + other.a, self.b + other.b)
+        return _monomial(
+            _vadd(self.xv, other.xv), _vadd(self.av, other.av), _vadd(self.bv, other.bv)
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Monomial)
-            and self.x == other.x
-            and self.a == other.a
-            and self.b == other.b
+            and self._hash == other._hash
+            and self.xv == other.xv
+            and self.av == other.av
+            and self.bv == other.bv
         )
 
     def __hash__(self) -> int:
@@ -76,13 +137,22 @@ class Monomial:
 
     def __str__(self) -> str:
         bits = []
-        for sym, group in (("x", self.x), ("a", self.a), ("b", self.b)):
-            for idx, exp in group:
-                bits.append(f"{sym}{idx}" + (f"^{exp}" if exp > 1 else ""))
+        for sym, vec in (("x", self.xv), ("a", self.av), ("b", self.bv)):
+            for idx, exp in enumerate(vec, 1):
+                if exp:
+                    bits.append(f"{sym}{idx}" + (f"^{exp}" if exp > 1 else ""))
         return " ".join(bits) if bits else "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
+
+
+def _monomial(xv, av, bv) -> Monomial:
+    """The Monomial of three exponent vectors already in normal form; skips
+    the public constructor's validation."""
+    m = object.__new__(Monomial)
+    m._fill(xv, av, bv)
+    return m
 
 
 MONOMIAL_ONE = Monomial()
@@ -98,6 +168,38 @@ def alpha_mono(i: int, e: int = 1) -> Monomial:
 
 def beta_mono(i: int, e: int = 1) -> Monomial:
     return Monomial(b=((i, e),))
+
+
+def _layout(monomials) -> tuple[int, int, int]:
+    """Widths (nx, na, nb) that hold every exponent vector of monomials."""
+    return (
+        max([len(m.xv) for m in monomials], default=0),
+        max([len(m.av) for m in monomials], default=0),
+        max([len(m.bv) for m in monomials], default=0),
+    )
+
+
+def _flat_key(m: Monomial, nx: int, na: int, nb: int) -> tuple[int, ...]:
+    """The exponents of m in one tuple laid out x | a | b, each group padded
+    to its width; keys of one layout add entrywise and compare in lex order."""
+    xv, av, bv = m.xv, m.av, m.bv
+    return (
+        xv + (0,) * (nx - len(xv)) + av + (0,) * (na - len(av)) + bv + (0,) * (nb - len(bv))
+    )
+
+
+def _from_flat_key(k: tuple[int, ...], nx: int, na: int) -> Monomial:
+    """The Monomial whose _flat_key with widths nx, na is k."""
+    return _monomial(_trim(k[:nx]), _trim(k[nx : nx + na]), _trim(k[nx + na :]))
+
+
+def _poly(terms: dict[Monomial, int], cap: int) -> "TruncatedPolynomial":
+    """The polynomial of terms whose coefficients are nonzero and whose
+    x-degrees are within cap; skips the public constructor's filter."""
+    p = object.__new__(TruncatedPolynomial)
+    p.terms = terms
+    p.cap = cap
+    return p
 
 
 class TruncatedPolynomial:
@@ -133,31 +235,42 @@ class TruncatedPolynomial:
         self._check_cap(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return TruncatedPolynomial(terms, self.cap)
+            c += terms.get(m, 0)
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+        return _poly(terms, self.cap)
 
     def __neg__(self) -> "TruncatedPolynomial":
-        return TruncatedPolynomial({m: -c for m, c in self.terms.items()}, self.cap)
+        return _poly({m: -c for m, c in self.terms.items()}, self.cap)
 
     def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "TruncatedPolynomial":
         if isinstance(other, int):
-            return TruncatedPolynomial(
-                {m: c * other for m, c in self.terms.items()}, self.cap
-            )
+            terms = {m: c * other for m, c in self.terms.items()} if other else {}
+            return _poly(terms, self.cap)
         self._check_cap(other)
         cap = self.cap
-        terms: dict[Monomial, int] = {}
+        nx, na, nb = _layout([*self.terms, *other.terms])
+        # the right operand in x-degree order, so each left term stops at
+        # the first partner that would pass the cap
+        right = sorted(
+            (m.x_degree, _flat_key(m, nx, na, nb), c) for m, c in other.terms.items()
+        )
+        degrees = [d for d, _, _ in right]
+        right = [(k, c) for _, k, c in right]
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
         for m1, c1 in self.terms.items():
-            d1 = m1.x_degree
-            for m2, c2 in other.terms.items():
-                if d1 + m2.x_degree > cap:
-                    continue
-                m = m1 * m2
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return TruncatedPolynomial(terms, cap)
+            k1 = _flat_key(m1, nx, na, nb)
+            for k2, c2 in islice(right, bisect_right(degrees, cap - m1.x_degree)):
+                k = tuple(map(add, k1, k2))
+                acc[k] = get(k, 0) + c1 * c2
+        terms = {_from_flat_key(k, nx, na): c for k, c in acc.items() if c}
+        return _poly(terms, cap)
 
     __rmul__ = __mul__
 
@@ -178,7 +291,7 @@ class TruncatedPolynomial:
         return self.terms.get(m, 0)
 
     def x_graded_piece(self, degree: int) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(
+        return _poly(
             {m: c for m, c in self.terms.items() if m.x_degree == degree}, self.cap
         )
 

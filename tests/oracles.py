@@ -2,12 +2,15 @@
 
 Nothing here shares code paths with the library: classification is a
 literal pair scan, counts come from the hook content formula, and Schur
-polynomials from the bialternant determinant.
+polynomials from the bialternant determinant.  The one exception is
+det_by_permutations, which takes the library's matrix entries and
+polynomial arithmetic but none of its determinant expansion.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
+from hooktab.genfun import _matrix_entry
 from hooktab.polynomials import Monomial, TruncatedPolynomial, x_mono
 from hooktab.shapes import conjugate
 
@@ -94,6 +97,26 @@ def bialternant(mu, n, cap):
             if p:
                 m = m * x_mono(j, p)
         total = total + TruncatedPolynomial.monomial(m, cap, -1 if inv % 2 else 1)
+    return total
+
+
+def det_by_permutations(lam, n, cap):
+    """The determinant of the closed formula by its n! permutation expansion
+    over the entries genfun._matrix_entry builds."""
+    entries = {
+        (i, j): _matrix_entry(lam, n, i, j, cap)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    }
+    total = TruncatedPolynomial.zero(cap)
+    for perm in permutations(range(1, n + 1)):
+        inv = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        prod = TruncatedPolynomial.const(-1 if inv % 2 else 1, cap)
+        for i, j in enumerate(perm, 1):
+            prod = prod * entries[(i, j)]
+        total = total + prod
     return total
 
 

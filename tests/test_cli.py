@@ -31,6 +31,13 @@ def test_validate_mixed():
     assert "flagged_mixed: True" in out
 
 
+def test_validate_entry_beyond_index_limit():
+    # weights hold dense exponent vectors, so a huge entry is refused
+    code, out, err = invoke(["validate"], "1|1000000000")
+    assert (code, out) == (1, "")
+    assert err == "error: variable index 1000000000 above the limit 65536\n"
+
+
 def test_validate_syntax_error():
     code, _, err = invoke(["validate"], "1|0")
     assert code == 1
@@ -52,6 +59,20 @@ def test_usage_error_exit_code():
     code, out, err = invoke(["enum", "--family", "exq"])
     assert code == 2 and out == ""
     assert err == "error: enum --family exq needs --outer\n"
+
+
+def test_negative_bounds_are_usage_errors():
+    for argv in (
+        ["identity", "--lambda", "1", "--excess", "-1"],
+        ["identity", "--lambda", "1", "--n", "-1"],
+        ["verify", "--check", "phi_bijection", "--excess", "-1"],
+        ["verify", "--check", "ggjdt_bijection", "--max-outer", "-1"],
+        ["enum", "--family", "hvt", "--lambda", "1", "--excess", "-1"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: hooktab "), argv
+        assert err.endswith(": must be nonnegative, got -1\n"), argv
 
 
 def test_uncrowd_trace_golden():

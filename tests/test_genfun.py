@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paper_cases as pc
-from oracles import bialternant
+from oracles import bialternant, det_by_permutations
 from hooktab.enumeration import EnumBounds, enum_hvt
 from hooktab.genfun import (
+    _exact_divide,
     det_formula_check,
     determinant_side,
     extract_weight_counts,
@@ -17,6 +18,7 @@ from hooktab.genfun import (
     vandermonde,
 )
 from hooktab.polynomials import (
+    MAX_INDEX,
     CapMismatch,
     CapTooSmall,
     Monomial,
@@ -43,6 +45,9 @@ def test_monomial_basics():
     assert str(Monomial()) == "1"
     with pytest.raises(ValueError):
         Monomial(x={0: 1})
+    assert Monomial(b={MAX_INDEX: 1}).b == ((MAX_INDEX, 1),)
+    with pytest.raises(ValueError, match="above the limit"):
+        Monomial(b={MAX_INDEX + 1: 1})
 
 
 def test_poly_add_mul_trivial():
@@ -72,24 +77,11 @@ def test_geometric_series_inverse():
     assert poly_mul(one_minus, geo) == TruncatedPolynomial.const(1, cap)
 
 
-small_polys = st.lists(
-    st.tuples(
-        st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(-3, 3)
-    ),
-    max_size=5,
-).map(
-    lambda spec: TruncatedPolynomial(
-        Counter(
-            {
-                Monomial(
-                    x={1: e1, 2: e2} if e1 or e2 else {},
-                    a={1: ea} if ea else {},
-                ): c
-                for e1, e2, ea, c in spec
-            }
-        ),
-        4,
-    )
+exponent_dicts = st.dictionaries(st.integers(1, 4), st.integers(0, 2), max_size=2)
+monomials = st.builds(Monomial, x=exponent_dicts, a=exponent_dicts, b=exponent_dicts)
+
+small_polys = st.lists(st.tuples(monomials, st.integers(-3, 3)), max_size=5).map(
+    lambda spec: TruncatedPolynomial({m: c for m, c in spec}, 4)
 )
 
 
@@ -99,6 +91,37 @@ def test_poly_ring_laws(a, b, c):
     assert poly_mul(a, b) == poly_mul(b, a)
     assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
     assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
+
+
+def _summed(d1, d2):
+    return {i: d1.get(i, 0) + d2.get(i, 0) for i in d1.keys() | d2.keys()}
+
+
+def _groups(m):
+    return dict(m.x), dict(m.a), dict(m.b)
+
+
+@settings(max_examples=100)
+@given(
+    exponent_dicts, exponent_dicts, exponent_dicts,
+    exponent_dicts, exponent_dicts, exponent_dicts,
+    small_polys, small_polys,
+)
+def test_products_match_public_constructor(x1, a1, b1, x2, a2, b2, p, q):
+    assert Monomial(x={3: 1}) * Monomial(x={1: 1}) == Monomial(x={1: 1, 3: 1})
+    m = Monomial(x=x1, a=a1, b=b1) * Monomial(x=x2, a=a2, b=b2)
+    built = Monomial(x=_summed(x1, x2), a=_summed(a1, a2), b=_summed(b1, b2))
+    assert m == built and hash(m) == hash(built)
+    assert str(m) == str(built) and m.sort_key() == built.sort_key()
+    # the product term by term, every monomial through the public constructor
+    terms = Counter()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            x, a, b = map(_summed, _groups(m1), _groups(m2))
+            terms[Monomial(x=x, a=a, b=b)] += c1 * c2
+    expected = TruncatedPolynomial(terms, 4)
+    assert (p * q).serialize() == expected.serialize()
+    assert p * q == expected
 
 
 def test_schur_trivial_cases():
@@ -231,6 +254,19 @@ def test_det_formula_single_cell_hand_expansion():
     assert lhs == hand
 
 
+def test_determinant_side_matches_permutation_expansion():
+    for n, max_size in ((4, 4), (5, 2)):
+        for lam in partitions_up_to(max_size):
+            cap = sum(lam) + 2 + n * (n - 1) // 2
+            assert determinant_side(lam, n, cap) == det_by_permutations(lam, n, cap)
+
+
+def test_det_formula_five_variables():
+    for lam in partitions_up_to(3):
+        lhs, rhs = det_formula_check(lam, 5, sum(lam) + 1)
+        assert lhs == rhs
+
+
 def test_det_formula_errors():
     with pytest.raises(CapTooSmall):
         det_formula_check((2, 1), 3, 2)
@@ -248,3 +284,10 @@ def test_extract_weight_counts_matches_enumeration():
         )
         assert pruned == dict(enum_counts)
         assert sum(pruned.values()) == len(enum_hvt(lam, EnumBounds(n, excess)))
+
+
+def test_exact_divide_fails_loudly():
+    with pytest.raises(ArithmeticError, match="division is not exact"):
+        _exact_divide(TruncatedPolynomial({x_mono(1): 1}, 3), vandermonde(2, 3), 2)
+    with pytest.raises(ArithmeticError, match="divisor must be monic"):
+        _exact_divide(vandermonde(2, 3), vandermonde(2, 3) * 2, 2)
