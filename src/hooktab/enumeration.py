@@ -1,7 +1,10 @@
 """Exhaustive generators, the full bijection, and verification drivers.
 
 All generators return canonically ordered lists (lexicographic on the text
-serialization) so that counts and golden files are stable across runs.
+serialization) so that counts and golden files are stable across runs;
+enum_mixed keeps itertools.product order.  The mixed families are filled
+cell by cell, each entry checked against its left and lower neighbours
+only, which is exact: see _exquisite_fits and _sorted_strict.
 """
 
 from __future__ import annotations
@@ -9,14 +12,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 from .shapes import (
     Partition,
     check_partition,
     check_skew,
-    partitions_between,
+    content,
     partitions_containing,
     partitions_up_to,
     skew_cells,
@@ -29,8 +32,6 @@ from .tableaux import (
     MixedTableau,
     alpha,
     beta,
-    is_alpha_column_strict,
-    is_beta_row_strict,
     is_exquisite,
     weight_hvt,
     weight_mixed,
@@ -67,8 +68,6 @@ def enum_hvt(lam: Partition, bounds: EnumBounds) -> list[HookValuedTableau]:
     total excess <= max_excess."""
     lam = check_partition(lam)
     n, emax = bounds
-    if not lam:
-        return [HookValuedTableau(())]
     positions = [(r, c) for r, width in enumerate(lam, 1) for c in range(1, width + 1)]
     out: list[HookValuedTableau] = []
     grid: dict[tuple[int, int], HookCell] = {}
@@ -105,62 +104,75 @@ def enum_ssyt(mu: Partition, n: int) -> list[HookValuedTableau]:
     return enum_hvt(mu, EnumBounds(n, 0))
 
 
-def _fmt_candidates(r: int, c: int):
-    return [alpha(k) for k in range(1, c)] + [beta(k) for k in range(1, r)]
+def _flags(p):
+    """The flagged entries of p = (r, c): alpha_1..alpha_{c-1}, beta_1..beta_{r-1}."""
+    return [alpha(k) for k in range(1, p[1])] + [beta(k) for k in range(1, p[0])]
 
 
-def _enum_fmt_filtered(outer, inner, keep) -> list[MixedTableau]:
+def _exquisite_fits(e, p, n, q) -> bool:
+    """Total column strictness of the positive beta shift: adjacent cells only."""
+    i, j = (x.index + content(at) * (x.kind == "b") for x, at in ((e, p), (n, q)))
+    return j > i if q[0] < p[0] else j >= i
+
+
+def _sorted_strict(e, p, n, q) -> bool:
+    """Alphas have only alphas left of and below them and decrease weakly along
+    rows, strictly up columns; betas strictly along rows, weakly up columns.
+    That is exactly sortedness and alpha column and beta row strictness: cells
+    p <= q of a skew shape are joined through (p_row, q_col) by adjacent cells
+    that lie in nu/inner when both do and in outer/nu when both do."""
+    if n.kind != e.kind:
+        return n.kind == "a"
+    return n.index > e.index if (q[0] < p[0]) == (e.kind == "a") else n.index >= e.index
+
+
+def _fill(outer, inner, pool, fits) -> list[MixedTableau]:
+    """The fillings of outer/inner, cell by cell in row order, by an entry e from
+    pool(p) at each cell p with fits(e, p, n, q) for each left or lower n at q."""
     outer, inner = check_skew(outer, inner)
     cells = sorted(skew_cells(outer, inner))
-    pools = [_fmt_candidates(r, c) for (r, c) in cells]
-    out = []
-    for combo in product(*pools):
-        T = MixedTableau(outer, inner, dict(zip(cells, combo)))
-        if keep(T):
-            out.append(T)
-    return sorted(out, key=serialize_mixed)
+    near = [[q for q in ((r, c - 1), (r - 1, c)) if q in cells] for r, c in cells]
+    pools = [pool(p) for p in cells]
+    entries, out = {}, []
+
+    def place(i: int) -> None:
+        if i == len(cells):
+            # a fresh row-order dict per tableau, never the one reused here
+            out.append(MixedTableau(outer, inner, {q: entries[q] for q in cells}))
+            return
+        p = cells[i]
+        for e in pools[i]:
+            if all(fits(e, p, entries[q], q) for q in near[i]):
+                entries[p] = e
+                place(i + 1)
+
+    place(0)
+    return out
 
 
 def enum_exquisite(outer, inner) -> list[MixedTableau]:
     """All exquisite tableaux of the skew shape (finite via the flags)."""
-    return _enum_fmt_filtered(outer, inner, is_exquisite)
+    return sorted(_fill(outer, inner, _flags, _exquisite_fits), key=serialize_mixed)
 
 
 def enum_biflagged(outer, inner) -> list[MixedTableau]:
     """All biflagged tableaux of the skew shape."""
-    return _enum_fmt_filtered(outer, inner, is_biflagged)
+    bft = filter(is_biflagged, _fill(outer, inner, _flags, _sorted_strict))
+    return sorted(bft, key=serialize_mixed)
 
 
 def enum_sorted_strict(outer, inner, max_index: int) -> list[MixedTableau]:
     """All alpha-column-strict, beta-row-strict, (alpha,beta)-sorted mixed
     tableaux with indices in 1..max_index (switching-theorem inputs)."""
-    outer, inner = check_skew(outer, inner)
-    out = []
-    for nu in partitions_between(inner, outer):
-        a_cells = sorted(skew_cells(nu, inner))
-        b_cells = sorted(skew_cells(outer, nu))
-        pools = [[alpha(k) for k in range(1, max_index + 1)] for _ in a_cells] + [
-            [beta(k) for k in range(1, max_index + 1)] for _ in b_cells
-        ]
-        cells = a_cells + b_cells
-        for combo in product(*pools):
-            T = MixedTableau(outer, inner, dict(zip(cells, combo)))
-            if is_alpha_column_strict(T) and is_beta_row_strict(T):
-                out.append(T)
-    return sorted(out, key=serialize_mixed)
+    pool = [kind(k) for kind in (alpha, beta) for k in range(1, max_index + 1)]
+    strict = _fill(outer, inner, lambda p: pool, _sorted_strict)
+    return sorted(strict, key=serialize_mixed)
 
 
 def enum_mixed(outer, inner, alpha_indices, beta_indices) -> list[MixedTableau]:
     """All mixed tableaux over the given index alphabets (oracle fodder)."""
-    outer, inner = check_skew(outer, inner)
-    cells = sorted(skew_cells(outer, inner))
-    pool = [alpha(k) for k in alpha_indices if k > 0] + [
-        beta(k) for k in beta_indices
-    ]
-    out = []
-    for combo in product(pool, repeat=len(cells)):
-        out.append(MixedTableau(outer, inner, dict(zip(cells, combo))))
-    return out
+    pool = [alpha(k) for k in alpha_indices if k > 0] + [beta(k) for k in beta_indices]
+    return _fill(outer, inner, lambda p: pool, lambda *_: True)
 
 
 def phi(T: HookValuedTableau):
@@ -198,9 +210,7 @@ class VerificationReport:
 
 
 def _lambdas(lam, limit):
-    if lam is not None:
-        return [check_partition(lam)]
-    return partitions_up_to(limit)
+    return [check_partition(lam)] if lam is not None else partitions_up_to(limit)
 
 
 def _check_commute(lam, bounds):
@@ -313,10 +323,9 @@ def _check_image(lam, bounds, *, use_phi: bool):
 
 def _check_ggjdt_bijection(outer, inner, max_outer):
     """GG-jdt as a weight-preserving bijection BFT -> EXQ, per skew shape."""
-    if outer is not None:
-        shapes = [check_skew(outer, inner or ())]
-    else:
-        shapes = skew_shapes(max_outer)
+    if outer is None and inner is not None:
+        raise ValueError("ggjdt_bijection does not use inner without outer")
+    shapes = skew_shapes(max_outer) if outer is None else [check_skew(outer, inner or ())]
     failures = []
     for mu, lam in shapes:
         bft = enum_biflagged(mu, lam)
@@ -363,8 +372,15 @@ def verify(
 
     Every check runs sequentially in this thread.  seed and jobs are
     accepted for compatibility and change neither the work done nor the
-    report.
+    report; a shape argument the check would ignore raises ValueError.
     """
+    if check_id not in CHECK_IDS:
+        raise ValueError(f"unknown check {check_id!r}; known: {CHECK_IDS}")
+    shaped = check_id == "ggjdt_bijection"
+    unused = (("lambda", lam),) if shaped else (("outer", outer), ("inner", inner))
+    for name, value in unused:
+        if value is not None:
+            raise ValueError(f"{check_id} does not use {name}")
     t0 = time.perf_counter()
     if check_id == "commute_lemma":
         n, failures = _check_commute(lam, bounds)
@@ -374,10 +390,8 @@ def verify(
         n, failures = _check_image(lam, bounds, use_phi=False)
     elif check_id == "phi_bijection":
         n, failures = _check_image(lam, bounds, use_phi=True)
-    elif check_id == "ggjdt_bijection":
-        n, failures = _check_ggjdt_bijection(outer, inner, max_outer)
     else:
-        raise ValueError(f"unknown check {check_id!r}; known: {CHECK_IDS}")
+        n, failures = _check_ggjdt_bijection(outer, inner, max_outer)
     # only bounds and shapes: seed and jobs must not change the output bytes
     params = {
         "lambda": list(lam) if lam is not None else None,

@@ -18,7 +18,6 @@ from .shapes import (
     check_skew,
     content,
     is_partition,
-    part,
     skew_cells,
 )
 
@@ -371,16 +370,15 @@ def is_totally_column_strict(T: MixedTableau) -> bool:
 
 
 def _is_sorted(T: MixedTableau, first_kind: str) -> bool:
-    """True iff the first_kind cells form nu/inner and the others outer/nu."""
-    nu = []
-    for r, width in enumerate(T.outer, 1):
-        lo = part(T.inner, r)
-        block = [c for c in range(lo + 1, width + 1)
-                 if T.entries[(r, c)].kind == first_kind]
-        if block != list(range(lo + 1, lo + 1 + len(block))):
-            return False
-        nu.append(lo + len(block))
-    return all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1))
+    """True iff the first_kind cells form nu/inner and the others outer/nu,
+    i.e. iff no first_kind cell has another kind left of or below it: were
+    nu_{r+1} > nu_r, cell (r, nu_{r+1}) would be of another kind below one."""
+    others = {p for p, e in T.entries.items() if e.kind != first_kind}
+    return not any(
+        (r, c - 1) in others or (r - 1, c) in others
+        for (r, c), e in T.entries.items()
+        if e.kind == first_kind
+    )
 
 
 def is_sorted_alpha_beta(T: MixedTableau) -> bool:

@@ -2,17 +2,25 @@
 
 Nothing here shares code paths with the library: classification is a
 literal pair scan, counts come from the hook content formula, and Schur
-polynomials from the bialternant determinant.  The one exception is
+polynomials from the bialternant determinant.  The exceptions are
 det_by_permutations, which takes the library's matrix entries and
-polynomial arithmetic but none of its determinant expansion.
+polynomial arithmetic but none of its determinant expansion, and the
+mixed-family enumerators, which filter every product of candidate entries
+with brute_classify but take the library's partitions_between for the
+sorted strict inputs and its shuffle for the second flag of a biflagged
+tableau.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from types import SimpleNamespace
 
 from hooktab.genfun import _matrix_entry
 from hooktab.polynomials import Monomial, TruncatedPolynomial, x_mono
-from hooktab.shapes import conjugate
+from hooktab.shapes import conjugate, partitions_between
+from hooktab.switching import shuffle
+from hooktab.tableaux import MixedTableau, alpha, beta
+from hooktab.textform import serialize_mixed
 
 
 def brute_classify(T):
@@ -158,3 +166,81 @@ def brute_gg_jdt(T):
         state = dict(state)
         state[cell], state[dest] = state[dest], state[cell]
         states.append(state)
+
+
+def _skew_cells(outer, inner):
+    return [
+        (r, c)
+        for r, width in enumerate(outer, 1)
+        for c in range((inner[r - 1] if r <= len(inner) else 0) + 1, width + 1)
+    ]
+
+
+def _product_filter(outer, inner, cells, pools, keep):
+    """Every filling of cells by one entry of each pool that keep accepts,
+    sorted by serialization as the library's enumerators are.  keep sees a
+    plain record with outer, inner and the entries dict."""
+    out = []
+    for combo in product(*pools):
+        T = SimpleNamespace(outer=outer, inner=inner, entries=dict(zip(cells, combo)))
+        if keep(T):
+            out.append(MixedTableau(outer, inner, T.entries))
+    return sorted(out, key=serialize_mixed)
+
+
+def _flagged_products(outer, inner, keep):
+    cells = _skew_cells(outer, inner)
+    pools = [[alpha(k) for k in range(1, c)] + [beta(k) for k in range(1, r)]
+             for r, c in cells]
+    return _product_filter(outer, inner, cells, pools, keep)
+
+
+def brute_exquisite(outer, inner):
+    """Flagged fillings whose indices, each beta's raised by the content
+    c - r of its cell, decrease weakly along rows and strictly up columns."""
+
+    def keep(T):
+        shifted = {
+            (r, c): e.index + (c - r if e.kind == "b" else 0)
+            for (r, c), e in T.entries.items()
+        }
+        # a missing right or upper neighbour passes its comparison
+        return all(
+            shifted.get((r, c + 1), i) <= i and shifted.get((r + 1, c), i - 1) < i
+            for (r, c), i in shifted.items()
+        )
+
+    return _flagged_products(outer, inner, keep)
+
+
+def brute_biflagged(outer, inner):
+    """Flagged fillings that brute_classify finds (alpha, beta)-sorted, alpha
+    column strict and beta row strict, and whose shuffle it finds flagged."""
+
+    def keep(T):
+        flags = brute_classify(T)
+        return (
+            flags[0] and flags[3] and flags[5] and flags[7]
+            and brute_classify(shuffle(MixedTableau(T.outer, T.inner, T.entries)))[7]
+        )
+
+    return _flagged_products(outer, inner, keep)
+
+
+def brute_sorted_strict(outer, inner, max_index):
+    """For every nu between inner and outer, alphas 1..max_index on nu/inner
+    and betas 1..max_index on outer/nu, kept when brute_classify finds them
+    alpha column strict and beta row strict."""
+
+    def strict(T):
+        flags = brute_classify(T)
+        return flags[0] and flags[3]
+
+    alphas = [alpha(k) for k in range(1, max_index + 1)]
+    betas = [beta(k) for k in range(1, max_index + 1)]
+    out = []
+    for nu in partitions_between(inner, outer):
+        a_cells, b_cells = _skew_cells(nu, inner), _skew_cells(outer, nu)
+        pools = [alphas] * len(a_cells) + [betas] * len(b_cells)
+        out += _product_filter(outer, inner, a_cells + b_cells, pools, strict)
+    return sorted(out, key=serialize_mixed)

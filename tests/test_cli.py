@@ -154,6 +154,22 @@ def test_verify_command_json_and_exit():
     assert "elapsed" in err
 
 
+def test_verify_refuses_unused_shape_arguments():
+    # a shape argument the check would ignore must not reach the report
+    cases = [
+        (["ggjdt_bijection", "--inner", "1"], "inner without outer"),
+        (["ggjdt_bijection", "--lambda", "1"], "lambda"),
+        (["ggjdt_bijection", "--lambda", "1", "--outer", "2,1"], "lambda"),
+    ]
+    for check in ("commute_lemma", "shuffle_theorem", "uncrowd_image", "phi_bijection"):
+        cases.append(([check, "--outer", "2,1"], "outer"))
+        cases.append(([check, "--lambda", "1", "--inner", "1"], "inner"))
+    for argv, name in cases:
+        code, out, err = invoke(["verify", "--check"] + argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {argv[0]} does not use {name}\n", argv
+
+
 def test_verify_determinism_across_jobs_and_seeds():
     args = ["verify", "--check", "commute_lemma", "--lambda", "2,1"]
     runs = [

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 import paper_cases as pc
+from oracles import brute_biflagged, brute_exquisite, brute_sorted_strict
 from oracles import ssyt_count as ssyt_count_oracle
 from hooktab.enumeration import (
     CHECK_IDS,
@@ -16,9 +17,18 @@ from hooktab.enumeration import (
     phi,
     verify,
 )
-from hooktab.shapes import conjugate, partitions_up_to, skew_shapes, subpartitions
+from hooktab.shapes import (
+    conjugate,
+    partitions_up_to,
+    skew_cells,
+    skew_shapes,
+    subpartitions,
+)
 from hooktab.switching import gg_jdt, is_biflagged
 from hooktab.tableaux import (
+    MixedTableau,
+    alpha,
+    beta,
     hvt_violations,
     is_exquisite,
     is_valid_hvt,
@@ -124,6 +134,32 @@ def test_enum_sorted_strict_small():
         flags = classify_mixed(t)
         assert flags.alpha_column_strict and flags.beta_row_strict
         assert flags.sorted_alpha_beta
+
+
+def test_mixed_enumerators_match_product_filters():
+    # generation cell by cell with neighbour checks gives the same lists, in
+    # the same order, as filtering every product of candidate entries
+    counts = [0, 0, 0]
+    for outer, inner in skew_shapes(8):
+        exq = enum_exquisite(outer, inner)
+        assert exq == brute_exquisite(outer, inner), (outer, inner)
+        bft = enum_biflagged(outer, inner)
+        assert bft == brute_biflagged(outer, inner), (outer, inner)
+        counts[0] += len(exq)
+        counts[1] += len(bft)
+    for outer, inner in skew_shapes(5):
+        inputs = enum_sorted_strict(outer, inner, 3)
+        assert inputs == brute_sorted_strict(outer, inner, 3), (outer, inner)
+        counts[2] += len(inputs)
+    assert counts == [3384, 3384, 5973]
+    pool = [alpha(1), alpha(2), beta(-1), beta(0), beta(2)]
+    for outer, inner in skew_shapes(4):
+        cells = sorted(skew_cells(outer, inner))
+        expected = [
+            MixedTableau(outer, inner, dict(zip(cells, combo)))
+            for combo in product(pool, repeat=len(cells))
+        ]
+        assert enum_mixed(outer, inner, range(-1, 3), (-1, 0, 2)) == expected
 
 
 def test_enum_mixed_counts():

@@ -1,10 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 import paper_cases as pc
 from oracles import brute_classify
 from hooktab.polynomials import Monomial
-from hooktab.shapes import skew_cells
+from hooktab.shapes import skew_cells, skew_shapes
 from hooktab.tableaux import (
     HookCell,
     HookValuedTableau,
@@ -133,6 +135,20 @@ def test_named_predicates_match_brute_force_examples():
     for text in (pc.GGJDT_INPUT, pc.GGJDT_CBETA_PLUS, ".|a1"):
         T = parse_mixed(text)
         assert tuple(pred(T) for pred in PREDICATES) == brute_classify(T)
+
+
+def test_sortedness_matches_pair_scan_on_every_kind_pattern():
+    # the neighbour rule of _is_sorted against the row-by-row oracle, on
+    # every alpha/beta pattern of every skew shape with |outer| <= 7
+    cases = 0
+    for outer, inner in skew_shapes(7):
+        cells = sorted(skew_cells(outer, inner))
+        for kinds in product((alpha(1), beta(1)), repeat=len(cells)):
+            T = MixedTableau(outer, inner, dict(zip(cells, kinds)))
+            got = (is_sorted_alpha_beta(T), is_sorted_beta_alpha(T))
+            assert got == brute_classify(T)[5:7], T
+            cases += 2
+    assert cases == 14_726
 
 
 def test_swapped_matches_validating_constructor():
