@@ -14,6 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from . import enumeration, genfun
 from .enumeration import CHECK_IDS, EnumBounds
+from .shapes import check_partition
 from .switching import (
     InternalError,
     PreconditionViolation,
@@ -34,12 +35,11 @@ from .uncrowding import _canonical_word, _collect, _uncrowd_steps
 
 
 def _partition_arg(text: str):
-    if text.strip() == "":
-        return ()
+    parts = text.split(",") if text.strip() else ()
     try:
-        return tuple(int(p) for p in text.split(","))
+        return check_partition(int(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad partition {text!r}")
+        raise argparse.ArgumentTypeError(f"not a partition: {text!r}")
 
 
 def _count_arg(text: str) -> int:

@@ -4,7 +4,8 @@ All generators return canonically ordered lists (lexicographic on the text
 serialization) so that counts and golden files are stable across runs;
 enum_mixed keeps itertools.product order.  The mixed families are filled
 cell by cell, each entry checked against its left and lower neighbours
-only, which is exact: see _exquisite_fits and _sorted_strict.
+only, by the rules the tableaux predicates scan with (tableaux._sorted_strict
+says why neighbours suffice).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .shapes import (
     Partition,
     check_partition,
     check_skew,
-    content,
     partitions_containing,
     partitions_up_to,
     skew_cells,
@@ -30,6 +30,8 @@ from .tableaux import (
     HookCell,
     HookValuedTableau,
     MixedTableau,
+    _exquisite_fits,
+    _sorted_strict,
     alpha,
     beta,
     is_exquisite,
@@ -107,23 +109,6 @@ def enum_ssyt(mu: Partition, n: int) -> list[HookValuedTableau]:
 def _flags(p):
     """The flagged entries of p = (r, c): alpha_1..alpha_{c-1}, beta_1..beta_{r-1}."""
     return [alpha(k) for k in range(1, p[1])] + [beta(k) for k in range(1, p[0])]
-
-
-def _exquisite_fits(e, p, n, q) -> bool:
-    """Total column strictness of the positive beta shift: adjacent cells only."""
-    i, j = (x.index + content(at) * (x.kind == "b") for x, at in ((e, p), (n, q)))
-    return j > i if q[0] < p[0] else j >= i
-
-
-def _sorted_strict(e, p, n, q) -> bool:
-    """Alphas have only alphas left of and below them and decrease weakly along
-    rows, strictly up columns; betas strictly along rows, weakly up columns.
-    That is exactly sortedness and alpha column and beta row strictness: cells
-    p <= q of a skew shape are joined through (p_row, q_col) by adjacent cells
-    that lie in nu/inner when both do and in outer/nu when both do."""
-    if n.kind != e.kind:
-        return n.kind == "a"
-    return n.index > e.index if (q[0] < p[0]) == (e.kind == "a") else n.index >= e.index
 
 
 def _fill(outer, inner, pool, fits) -> list[MixedTableau]:

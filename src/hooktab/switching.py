@@ -20,10 +20,11 @@ from typing import NamedTuple, Optional
 from .shapes import Cell
 from .tableaux import (
     MixedTableau,
+    _all_fit,
+    _sorted_strict,
     is_alpha_column_strict,
     is_beta_row_strict,
     is_flagged_mixed,
-    is_sorted_alpha_beta,
 )
 
 
@@ -47,11 +48,14 @@ class OutOfOrderWitness(NamedTuple):
 
 
 def _require_strict(T: MixedTableau, *, sorted_ab: bool = False) -> None:
+    # the neighbour rule decides; the global predicates only pick the message
+    if sorted_ab and _all_fit(T, _sorted_strict):
+        return
     if not (is_alpha_column_strict(T) and is_beta_row_strict(T)):
         raise PreconditionViolation(
             "tableau must be alpha-column-strict and beta-row-strict"
         )
-    if sorted_ab and not is_sorted_alpha_beta(T):
+    if sorted_ab:
         raise PreconditionViolation("tableau must be (alpha,beta)-sorted")
 
 
@@ -166,18 +170,22 @@ def fully_switch(
     raise InternalError("fully_switch exceeded its switch budget")
 
 
-def _slide_dest(entries: dict, cell: Cell) -> Optional[Cell]:
-    """Where the shuffle moves the alpha at cell: past the beta above or to
-    the right, the upper one when both exist and its index is larger; None
-    without a beta neighbour."""
+def _dest(entries: dict, cell: Cell, horizontal, vertical) -> Optional[Cell]:
+    """Where the alpha at cell moves: up when vertical applies and horizontal
+    does not or the upper index is larger, else right if horizontal does, else None."""
     r, c = cell
-    up = entries.get((r + 1, c))
-    right = entries.get((r, c + 1))
-    right_is_beta = right is not None and right.kind == "b"
-    if up is not None and up.kind == "b":
-        if not right_is_beta or up.index > right.index:
+    if vertical:
+        if not horizontal or entries[(r + 1, c)].index > entries[(r, c + 1)].index:
             return (r + 1, c)
-    return (r, c + 1) if right_is_beta else None
+    return (r, c + 1) if horizontal else None
+
+
+def _slide_dest(entries: dict, cell: Cell) -> Optional[Cell]:
+    """_dest for the shuffle: past a beta to the right of or above cell."""
+    r, c = cell
+    right, up = entries.get((r, c + 1)), entries.get((r + 1, c))
+    horizontal = right is not None and right.kind == "b"
+    return _dest(entries, cell, horizontal, up is not None and up.kind == "b")
 
 
 def _gg_moves(entries: dict, cell: Cell) -> tuple[bool, bool]:
@@ -186,8 +194,7 @@ def _gg_moves(entries: dict, cell: Cell) -> tuple[bool, bool]:
     content of its cell."""
     r, c = cell
     i = entries[cell].index
-    right = entries.get((r, c + 1))
-    up = entries.get((r + 1, c))
+    right, up = entries.get((r, c + 1)), entries.get((r + 1, c))
     return (
         right is not None and right.kind == "b" and i < right.index + (c + 1) - r,
         up is not None and up.kind == "b" and i <= up.index + c - (r + 1),
@@ -195,14 +202,8 @@ def _gg_moves(entries: dict, cell: Cell) -> tuple[bool, bool]:
 
 
 def _gg_dest(entries: dict, cell: Cell) -> Optional[Cell]:
-    """Where GG-jdt moves the alpha at cell: past an out-of-order beta, the
-    upper one when both are and its index is larger; None when neither is."""
-    horizontal, vertical = _gg_moves(entries, cell)
-    r, c = cell
-    if vertical:
-        if not horizontal or entries[(r + 1, c)].index > entries[(r, c + 1)].index:
-            return (r + 1, c)
-    return (r, c + 1) if horizontal else None
+    """_dest for GG-jdt: past a beta the alpha at cell is out of order with."""
+    return _dest(entries, cell, *_gg_moves(entries, cell))
 
 
 def _slide(T: MixedTableau, dest, budget: int):
@@ -268,11 +269,6 @@ def gg_jdt(T: MixedTableau, trace: bool = False):
 
 def is_biflagged(T: MixedTableau) -> bool:
     """Sorted and strict, with both T and shuffle(T) flagged-mixed."""
-    if not (
-        is_flagged_mixed(T)
-        and is_sorted_alpha_beta(T)
-        and is_alpha_column_strict(T)
-        and is_beta_row_strict(T)
-    ):
+    if not (is_flagged_mixed(T) and _all_fit(T, _sorted_strict)):
         return False
     return is_flagged_mixed(_slide(T, _slide_dest, _switch_budget(T))[0])

@@ -237,7 +237,7 @@ def beta(k: int) -> MixedEntry:
 class MixedTableau:
     """Skew-shaped filling by alpha/beta symbols; immutable."""
 
-    __slots__ = ("outer", "inner", "entries", "_key")
+    __slots__ = ("outer", "inner", "entries")
 
     def __init__(self, outer, inner, entries):
         outer, inner = check_skew(outer, inner)
@@ -248,13 +248,7 @@ class MixedTableau:
         for e in entries.values():
             if e.kind not in ("a", "b") or (e.kind == "a" and e.index <= 0):
                 raise ValueError(f"bad mixed entry {e}")
-        self._fill(outer, inner, entries)
-
-    def _fill(self, outer, inner, entries) -> None:
-        self.outer = outer
-        self.inner = inner
-        self.entries = entries
-        self._key = (outer, inner, tuple(sorted(entries.items())))
+        self.outer, self.inner, self.entries = outer, inner, entries
 
     def entry(self, r: int, c: int) -> MixedEntry | None:
         """The entry at (r, c); None for inner cells and cells outside outer."""
@@ -275,14 +269,19 @@ class MixedTableau:
         entries = dict(self.entries)
         entries[p], entries[q] = entries[q], entries[p]
         out = object.__new__(MixedTableau)
-        out._fill(self.outer, self.inner, entries)
+        out.outer, out.inner, out.entries = self.outer, self.inner, entries
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MixedTableau) and self._key == other._key
+        return (
+            isinstance(other, MixedTableau)
+            and self.outer == other.outer
+            and self.inner == other.inner
+            and self.entries == other.entries
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.outer, self.inner, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
         from .textform import serialize_mixed
@@ -356,29 +355,52 @@ def is_beta_row_strict(T: MixedTableau) -> bool:
     return _gamma_strict(_indexed(T, "b"), 0)
 
 
+def _all_fit(T: MixedTableau, fits) -> bool:
+    """Whether fits(e, p, n, q) holds for every entry e at a cell p and the
+    entry n at each left or lower neighbour q of p."""
+    # from q looking right and up: a random filling fails sooner than from p
+    entries = T.entries
+    for q, n in entries.items():
+        r, c = q
+        for p in ((r, c + 1), (r + 1, c)):
+            e = entries.get(p)
+            if e is not None and not fits(e, p, n, q):
+                return False
+    return True
+
+
+def _column_strict_fits(e, p, n, q) -> bool:
+    return n.index > e.index if q[0] < p[0] else n.index >= e.index
+
+
+def _exquisite_fits(e, p, n, q) -> bool:
+    """Total column strictness of the positive beta shift."""
+    i, j = (x.index + content(at) * (x.kind == "b") for x, at in ((e, p), (n, q)))
+    return j > i if q[0] < p[0] else j >= i
+
+
+def _sorted_strict(e, p, n, q) -> bool:
+    """Alphas have only alphas left of and below them and decrease weakly along
+    rows, strictly up columns; betas strictly along rows, weakly up columns.
+    That is exactly sortedness and alpha column and beta row strictness: cells
+    p <= q of a skew shape are joined through (p_row, q_col) by adjacent cells
+    that lie in nu/inner when both do and in outer/nu when both do."""
+    if n.kind != e.kind:
+        return n.kind == "a"
+    return n.index > e.index if (q[0] < p[0]) == (e.kind == "a") else n.index >= e.index
+
+
 def is_totally_column_strict(T: MixedTableau) -> bool:
     """Indices strictly decrease up columns and weakly along rows,
     whatever the kinds."""
-    for (r, c), e in T.entries.items():
-        above = T.entry(r + 1, c)
-        if above is not None and not e.index > above.index:
-            return False
-        right = T.entry(r, c + 1)
-        if right is not None and not e.index >= right.index:
-            return False
-    return True
+    return _all_fit(T, _column_strict_fits)
 
 
 def _is_sorted(T: MixedTableau, first_kind: str) -> bool:
     """True iff the first_kind cells form nu/inner and the others outer/nu,
     i.e. iff no first_kind cell has another kind left of or below it: were
     nu_{r+1} > nu_r, cell (r, nu_{r+1}) would be of another kind below one."""
-    others = {p for p, e in T.entries.items() if e.kind != first_kind}
-    return not any(
-        (r, c - 1) in others or (r - 1, c) in others
-        for (r, c), e in T.entries.items()
-        if e.kind == first_kind
-    )
+    return _all_fit(T, lambda e, p, n, q: e.kind != first_kind or n.kind == first_kind)
 
 
 def is_sorted_alpha_beta(T: MixedTableau) -> bool:
@@ -422,18 +444,14 @@ def c_beta_shift(T: MixedTableau, sign: str) -> MixedTableau:
     beta_{r-c} ("-"); alpha entries are untouched."""
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    entries = {}
-    for cell, e in T.entries.items():
-        if e.kind == "b":
-            c = content(cell)
-            entries[cell] = beta(e.index + c if sign == "+" else e.index - c)
-        else:
-            entries[cell] = e
+    k = 1 if sign == "+" else -1
+    entries = {
+        cell: beta(e.index + k * content(cell)) if e.kind == "b" else e
+        for cell, e in T.entries.items()
+    }
     return MixedTableau(T.outer, T.inner, entries)
 
 
 def is_exquisite(T: MixedTableau) -> bool:
     """Flagged-mixed with totally column-strict positive beta shift."""
-    if not is_flagged_mixed(T):
-        return False
-    return is_totally_column_strict(c_beta_shift(T, "+"))
+    return is_flagged_mixed(T) and _all_fit(T, _exquisite_fits)

@@ -195,22 +195,26 @@ def _flagged_products(outer, inner, keep):
     return _product_filter(outer, inner, cells, pools, keep)
 
 
+def brute_is_exquisite(T):
+    """Flagged, with indices, each beta's raised by the content c - r of its
+    cell, decreasing weakly along rows and strictly up columns."""
+    flagged = all(
+        0 < e.index < (c if e.kind == "a" else r) for (r, c), e in T.entries.items()
+    )
+    shifted = {
+        (r, c): e.index + (c - r if e.kind == "b" else 0)
+        for (r, c), e in T.entries.items()
+    }
+    # a missing right or upper neighbour passes its comparison
+    return flagged and all(
+        shifted.get((r, c + 1), i) <= i and shifted.get((r + 1, c), i - 1) < i
+        for (r, c), i in shifted.items()
+    )
+
+
 def brute_exquisite(outer, inner):
-    """Flagged fillings whose indices, each beta's raised by the content
-    c - r of its cell, decrease weakly along rows and strictly up columns."""
-
-    def keep(T):
-        shifted = {
-            (r, c): e.index + (c - r if e.kind == "b" else 0)
-            for (r, c), e in T.entries.items()
-        }
-        # a missing right or upper neighbour passes its comparison
-        return all(
-            shifted.get((r, c + 1), i) <= i and shifted.get((r + 1, c), i - 1) < i
-            for (r, c), i in shifted.items()
-        )
-
-    return _flagged_products(outer, inner, keep)
+    """The flagged fillings that brute_is_exquisite accepts."""
+    return _flagged_products(outer, inner, brute_is_exquisite)
 
 
 def brute_biflagged(outer, inner):

@@ -75,6 +75,24 @@ def test_negative_bounds_are_usage_errors():
         assert err.endswith(": must be nonnegative, got -1\n"), argv
 
 
+def test_non_partition_arguments_are_usage_errors():
+    for argv in (
+        ["enum", "--family", "hvt", "--lambda", "2,3"],
+        ["verify", "--check", "commute_lemma", "--lambda", "1,2"],
+        ["enum", "--family", "exq", "--outer", "1,2"],
+        ["identity", "--lambda", "0"],
+        ["identity", "--lambda", "a"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: hooktab "), argv
+        assert err.endswith(f"argument {argv[-2]}: not a partition: '{argv[-1]}'\n")
+    # containment relates two arguments, so it stays a runtime error
+    code, out, err = invoke(["enum", "--family", "exq", "--outer", "2", "--inner", "3"])
+    assert (code, out) == (1, "")
+    assert err == "error: inner (3,) not contained in outer (2,)\n"
+
+
 def test_uncrowd_trace_golden():
     code, out, _ = invoke(
         ["uncrowd", "--word", "LLAA", "--trace"], pc.UNCROWD_INPUT

@@ -3,7 +3,7 @@ import signal
 import pytest
 
 import paper_cases as pc
-from oracles import brute_classify, brute_gg_jdt
+from oracles import brute_classify, brute_gg_jdt, brute_is_exquisite
 from hooktab.enumeration import (
     enum_biflagged,
     enum_exquisite,
@@ -25,7 +25,7 @@ from hooktab.switching import (
     shuffle,
     try_switch,
 )
-from hooktab.tableaux import MixedTableau, classify_mixed, weight_mixed
+from hooktab.tableaux import MixedTableau, classify_mixed, is_exquisite, weight_mixed
 from hooktab.textform import parse_mixed, serialize_mixed
 
 
@@ -284,6 +284,37 @@ def test_is_biflagged_examples():
     assert not is_biflagged(bad)
     assert serialize_mixed(shuffle(bad)) == pc.BFT_NON_MEMBER_SHUFFLED
     assert is_biflagged(parse_mixed(""))
+
+
+def _precondition_message(run, T):
+    try:
+        run(T)
+    except PreconditionViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_preconditions_and_predicates_on_every_small_filling():
+    # every filling of every skew shape with |outer| <= 4, alphas 1..3 and
+    # betas -2..3: the neighbour rules against the pair-scan oracles
+    checked = 0
+    for outer, inner in skew_shapes(4):
+        for T in enum_mixed(outer, inner, range(1, 4), range(-2, 4)):
+            flags = brute_classify(T)
+            strict = flags[0] and flags[3]  # alpha-column, beta-row strict
+            if not strict:
+                expected = "tableau must be alpha-column-strict and beta-row-strict"
+            elif not flags[5]:
+                expected = "tableau must be (alpha,beta)-sorted"
+            else:
+                expected = None
+            for run in (shuffle, gg_jdt):
+                assert _precondition_message(run, T) == expected, (run, T)
+            assert is_exquisite(T) == brute_is_exquisite(T), T
+            if is_biflagged(T):
+                assert flags[7] and expected is None, T
+            checked += 1
+    assert checked == 39_828
 
 
 def test_ggjdt_maps_bft_to_exq_in_display_order():

@@ -161,6 +161,23 @@ def test_swapped_matches_validating_constructor():
         assert S.entries[p] == T.entries[q] and S.entries[q] == T.entries[p]
 
 
+def test_equality_compares_shapes_and_entries():
+    # equal entries inserted in another order: equal tableaux, equal hashes
+    T = parse_mixed(pc.GGJDT_INPUT)
+    U = MixedTableau(T.outer, T.inner, dict(reversed(T.entries.items())))
+    assert list(U.entries) != list(T.entries)
+    assert U == T and hash(U) == hash(T)
+    # the same cells and entries on different shapes stay unequal
+    for S, R in (
+        (
+            MixedTableau((2, 1), (1, 1), {(1, 2): alpha(1)}),
+            MixedTableau((2,), (1,), {(1, 2): alpha(1)}),
+        ),
+        (MixedTableau((1,), (1,), {}), MixedTableau((), (), {})),
+    ):
+        assert S != R and R != S
+
+
 def test_constructor_rejects_bad_fillings():
     with pytest.raises(ValueError):
         MixedTableau((2,), (), {(1, 1): alpha(1)})  # cell (1,2) missing
