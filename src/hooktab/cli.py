@@ -31,7 +31,7 @@ from .textform import (
     serialize_hvt,
     serialize_mixed,
 )
-from .uncrowding import _canonical_word, _collect, _uncrowd_steps
+from .uncrowding import _canonical_word, _collect, _tableau, _uncrowd_steps
 
 
 def _partition_arg(text: str):
@@ -40,6 +40,12 @@ def _partition_arg(text: str):
         return check_partition(int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a partition: {text!r}")
+
+
+def _word_arg(text: str) -> str:
+    if text in ("LAinf", "ALinf") or set(text) <= {"A", "L"}:
+        return text
+    raise argparse.ArgumentTypeError(f"not a word over A/L, LAinf or ALinf: {text!r}")
 
 
 def _count_arg(text: str) -> int:
@@ -68,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uncrowd", help="run the uncrowding map on an HVT")
     p.add_argument(
         "--word",
+        type=_word_arg,
         required=True,
         help="word over A/L in subscript order (rightmost letter applied "
         "first), or LAinf / ALinf for the canonical orders",
@@ -169,17 +176,15 @@ def _cmd_uncrowd(args, stdin, out, err) -> int:
     T = _read_valid_hvt(stdin, out)
     if T is None:
         return 1
-    if args.word in ("LAinf", "ALinf"):
-        word = _canonical_word(T, args.word[:2])
-    else:
-        word = args.word
-    steps = list(_uncrowd_steps(T, word))
+    word = _canonical_word(T, args.word[:2]) if args.word.endswith("inf") else args.word
+    steps, trace = [], ([serialize_hvt(T)] if args.trace else [])
+    for letter, grid, rec in _uncrowd_steps(T, word):
+        steps.append((letter, grid, rec))
+        if args.trace:
+            trace += [f"--{letter}-->", serialize_hvt(_tableau(grid))]
     result = _collect(T, steps)
     if args.trace:
-        print(serialize_hvt(T), file=out)
-        for letter, tableau, _ in steps:
-            print(f"--{letter}-->", file=out)
-            print(serialize_hvt(tableau), file=out)
+        print("\n".join(trace), file=out)
     print(f"P: {serialize_hvt(result.insertion)}", file=out)
     print(f"Q: {serialize_mixed(result.recording)}", file=out)
     return 0

@@ -7,11 +7,14 @@ an arm bump read along rows, with the strict and weak comparisons swapped.
 Iterating a bump until the shape first grows gives a single uncrowding step;
 a word over {A, L} drives the full map, which also builds a mixed recording
 tableau on the new cells.
+
+A word runs on one grid of mutable cells.  Inputs must be valid, and a bump
+then checks only the two cells it rewrote, against their hook shape and four
+neighbours: every condition names one cell or two adjacent ones.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import NamedTuple, Optional
 
 from .shapes import Cell
@@ -39,158 +42,175 @@ class UncrowdResult(NamedTuple):
     records: tuple[BumpRecord, ...]
 
 
-def _assert_valid(T: HookValuedTableau) -> None:
-    bad = hvt_violations(T)
-    assert not bad, f"bump produced an invalid tableau: {bad}"
+def _grid(T: HookValuedTableau) -> list:
+    """The rows of T, bottom-up, as lists of mutable cells [hook, arms, legs]."""
+    return [[[x.hook, x.arms, x.legs] for x in row] for row in T.rows]
 
 
-def _bump(T: HookValuedTableau, arm: bool):
-    """One arm (arm=True) or leg bump, written once in (line, pos)
-    coordinates: an arm moves from column line to line + 1 at row pos, a leg
-    from row line to line + 1 at column pos.  "own" is the list that bumps
-    (arms or legs), "other" the list that may follow it."""
-    kind = "arm" if arm else "leg"
-    # lines[L] lists the cells of line L as (hook, own, other) from pos 1 up:
-    # T.cells() visits the rows in order and each row left to right
-    lines: dict[int, list] = {}
-    for (r, c), x in T.cells():
-        if arm:
-            lines.setdefault(c, []).append((x.hook, x.arms, x.legs))
-        else:
-            lines.setdefault(r, []).append((x.hook, x.legs, x.arms))
-    line = max((L for L, xs in lines.items() if any(o for _, o, _ in xs)), default=None)
-    if line is None:
-        return T, None
-    v = max(own[-1] for _, own, _ in lines[line] if own)
-    holders = [p for p, (_, own, _) in enumerate(lines[line], 1) if own and own[-1] == v]
-    assert len(holders) == 1, f"largest {kind} entry of a line must sit in one cell"
-    pos = holders[0]
-    hook, own, other = lines[line][pos - 1]
-    origin = (hook, own[:-1], other)
+def _tableau(grid) -> HookValuedTableau:
+    return HookValuedTableau([HookCell(*x) for x in row] for row in grid)
 
-    # an arm takes the smallest entry >= v and carries the origin's legs > v;
-    # a leg takes the smallest entry > v and carries the origin's arms >= v
-    least, carried = (v, v + 1) if arm else (v + 1, v)
-    nxt = lines.get(line + 1, [])
-    k = at = None
-    for p, (h, o, t) in enumerate(nxt, 1):
-        for w in (h,) + o + t:
-            if w >= least and (k is None or w < k):  # first minimum wins
-                k, at = w, p
-    if k is None:
-        at = len(nxt) + 1
-        assert at <= pos
-        target = (v, (), ())
-    else:
-        h, o, t = nxt[at - 1]
-        assert not o, f"the line after the last {kind} line has {kind}s"
-        if h == k:
-            target = (v, (k,), t)
-        else:
-            t = list(t)
-            t[t.index(k)] = v
-            target = (h, (k,), t)
-    if at == pos:
-        merged = list(target[2])
-        for x in other:
-            if x >= carried:
-                bisect.insort(merged, x)
-        origin = (hook, own[:-1], tuple(x for x in other if x < carried))
-        target = (target[0], target[1], merged)
+
+def _top(x) -> int:  # the largest entry of a cell with a valid hook shape
+    return max(x[1][-1] if x[1] else x[0], x[2][-1] if x[2] else x[0])
+
+
+def _broken(grid, r: int, c: int) -> bool:
+    """Whether cell (r, c) breaks the hook shape, or a row or column condition
+    with one of its four neighbours (taken to have valid hook shapes)."""
+    row = grid[r - 1]
+    h, arms, legs = x = row[c - 1]
+    return (
+        (arms and any(a > b for a, b in zip((h,) + arms, arms)))
+        or (legs and any(a >= b for a, b in zip((h,) + legs, legs)))
+        or (c > 1 and _top(row[c - 2]) > h)
+        or (c < len(row) and _top(x) > row[c][0])
+        or (r > 1 and _top(grid[r - 2][c - 1]) >= h)
+        or (r < len(grid) and c <= len(grid[r]) and _top(x) >= grid[r][c - 1][0])
+    )
+
+
+def _bump(grid, arm: bool) -> Optional[BumpRecord]:
+    """One arm (arm=True) or leg bump of the grid, in place; None when there
+    is nothing to bump.  Written once in (line, pos) coordinates: an arm moves
+    from column line to line + 1 at row pos, a leg from row line to line + 1
+    at column pos.  x[own] is the list of cell x that bumps (arms or legs),
+    x[other] the list that may follow it."""
+    kind, own, other = ("arm", 1, 2) if arm else ("leg", 2, 1)
 
     def place(L, p):
         return (p, L) if arm else (L, p)
 
-    def cell(h, o, t):
-        return HookCell(h, o, t) if arm else HookCell(h, t, o)
+    def cells(L):  # the cells of line L, from pos 1 up
+        return [row[L - 1] for row in grid if len(row) >= L] if arm else grid[L - 1]
 
-    out = T.replace(*place(line, pos), cell(*origin))
+    line = len(grid[0]) if arm and grid else len(grid)
+    while line and not any(x[own] for x in cells(line)):
+        line -= 1
+    if not line:
+        return None
+    xs = cells(line)
+    v = max(x[own][-1] for x in xs if x[own])
+    holders = [p for p, x in enumerate(xs, 1) if x[own] and x[own][-1] == v]
+    if len(holders) != 1:
+        raise InternalError(f"largest {kind} entry of a line must sit in one cell")
+    pos = holders[0]
+    src = xs[pos - 1]
+    if not arm and line == len(grid):
+        grid.append([])  # the row above the top one, for the new cell
+
+    # an arm takes the smallest entry >= v and carries the origin's legs > v;
+    # a leg takes the smallest entry > v and carries the origin's arms >= v
+    lo, carried = (v, v + 1) if arm else (v + 1, v)
+    nxt = cells(line + 1)
+    fits = [(w, p) for p, x in enumerate(nxt, 1) for w in (x[0], *x[1], *x[2]) if w >= lo]
+    k, at = min(fits, default=(None, None))  # the first on ties
     if k is None:
-        created = place(line + 1, at)
-        out = out.add_cell(created, cell(*target))
+        at = len(nxt) + 1
+        if at > pos:  # at <= pos keeps the shape a partition
+            raise InternalError(f"a new cell at {place(line + 1, at)} breaks the shape")
+        dst = [v, (), ()]
+        grid[place(line + 1, at)[0] - 1].append(dst)
     else:
-        created = None
-        out = out.replace(*place(line + 1, at), cell(*target))
-    _assert_valid(out)
-    return out, BumpRecord(kind, place(line, pos), created, v)
+        dst = nxt[at - 1]
+        if dst[own]:
+            raise InternalError(f"the line after the last {kind} line has {kind}s")
+        t = [dst[0], *dst[other]]
+        t[t.index(k)] = v
+        dst[0], dst[other], dst[own] = t[0], tuple(t[1:]), (k,)
+    src[own] = src[own][:-1]
+    if at == pos:
+        moved = tuple(x for x in src[other] if x >= carried)
+        dst[other] = tuple(sorted(dst[other] + moved))
+        src[other] = tuple(x for x in src[other] if x < carried)
+    origin, target = place(line, pos), place(line + 1, at)
+    if _broken(grid, *origin) or _broken(grid, *target):
+        bad = hvt_violations(_tableau(grid))
+        raise InternalError(f"bump produced an invalid tableau: {bad}")
+    return BumpRecord(kind, origin, target if k is None else None, v)
+
+
+def _step(grid, arm: bool) -> Optional[BumpRecord]:
+    """Bump until the shape grows; None when nothing moves.  A bump that does
+    not grow the shape moves the bumped value from line L to L + 1, so a step
+    needs at most as many bumps as there are lines, never more than cells."""
+    budget = sum(map(len, grid))
+    first = rec = _bump(grid, arm)
+    while rec is not None and rec.created is None and budget:
+        rec, budget = _bump(grid, arm), budget - 1
+    if first is None:
+        return None
+    if rec is None:
+        raise InternalError("bumping died before the shape grew")
+    if rec.created is None:
+        raise InternalError("an uncrowding step exceeded its bump budget")
+    return first._replace(created=rec.created)
+
+
+def _apply(T: HookValuedTableau, routine, arm: bool):
+    """routine (_bump or _step) on a grid of T; T itself when it moves nothing."""
+    grid = _grid(T)
+    rec = routine(grid, arm)
+    return (T, None) if rec is None else (_tableau(grid), rec)
 
 
 def arm_bump(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
-    """One arm-uncrowding bump; identity (record None) when T has no arms."""
-    return _bump(T, True)
+    """One arm-uncrowding bump of a valid T; identity (record None) without arms."""
+    return _apply(T, _bump, True)
 
 
 def leg_bump(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
-    """One leg-uncrowding bump; identity (record None) when T has no legs.
+    """One leg-uncrowding bump of a valid T; identity (record None) without legs.
 
     Dual of arm_bump: the bumped value looks for the smallest entry strictly
     larger than itself in the row above, and arm entries >= the bumped leg
     follow it into the cell it lands in (they would otherwise break column
     strictness with the origin cell).
     """
-    return _bump(T, False)
-
-
-def _uncrowd_step(T, bump):
-    """Bump until the shape grows.  A bump that does not grow the shape moves
-    the bumped value from line L to L + 1 of the unchanged shape, so a step
-    needs at most as many bumps as T has lines, never more than T.num_cells."""
-    cur, rec = bump(T)
-    if rec is None:
-        return T, None
-    first = rec
-    for _ in range(T.num_cells):
-        if rec.created is not None:
-            break
-        cur, rec = bump(cur)
-        assert rec is not None, "bumping died before the shape grew"
-    if rec.created is None:
-        raise InternalError("an uncrowding step exceeded its bump budget")
-    return cur, first._replace(created=rec.created)
+    return _apply(T, _bump, False)
 
 
 def arm_uncrowd(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
-    """Iterate arm_bump until the shape first grows; identity without arms.
+    """Iterate arm_bump on a valid T until the shape grows; identity without arms.
 
     The record keeps the origin cell of the *first* bump (whose column names
     the recorded alpha index) and the cell created by the last one.
     """
-    return _uncrowd_step(T, arm_bump)
+    return _apply(T, _step, True)
 
 
 def leg_uncrowd(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpRecord]]:
-    """Iterate leg_bump until the shape first grows; identity without legs."""
-    return _uncrowd_step(T, leg_bump)
+    """Iterate leg_bump on a valid T until the shape grows; identity without legs."""
+    return _apply(T, _step, False)
 
 
 def _uncrowd_steps(T: HookValuedTableau, word: str):
-    """Yield (letter, tableau, record) for each effective step of the word,
-    applying its letters right to left."""
+    """Yield (letter, grid, record) for each effective step of the word,
+    applying its letters right to left to one grid of T.  The grid is live:
+    it holds the tableau after the yielded step until the next one runs."""
     if any(ch not in "AL" for ch in word):
         raise ValueError(f"word must be over 'A'/'L', got {word!r}")
-    cur = T
+    grid = _grid(T)
     for letter in reversed(word):
-        op = arm_uncrowd if letter == "A" else leg_uncrowd
-        cur, rec = op(cur)
+        rec = _step(grid, letter == "A")
         if rec is not None:
-            yield letter, cur, rec
+            yield letter, grid, rec
 
 
 def _collect(T: HookValuedTableau, steps) -> UncrowdResult:
     """The uncrowding result of T from its effective steps."""
-    cur = T
-    records = []
-    q_entries = {}
-    for _, cur, rec in steps:
+    grid, records, q_entries = None, [], {}
+    for _, grid, rec in steps:
         records.append(rec)
         r, c = rec.origin
         q_entries[rec.created] = alpha(c) if rec.kind == "arm" else beta(r)
-    recording = MixedTableau(cur.shape, T.shape, q_entries)
-    return UncrowdResult(cur, recording, tuple(records))
+    P = T if grid is None else _tableau(grid)
+    recording = MixedTableau(P.shape, T.shape, q_entries)
+    return UncrowdResult(P, recording, tuple(records))
 
 
 def uncrowd(T: HookValuedTableau, word: str) -> UncrowdResult:
-    """Run the uncrowding map for a word over {A, L}.
+    """Run the uncrowding map on a valid T for a word over {A, L}.
 
     The word is given in the paper's subscript order f_n...f_1, so its
     letters are applied right to left.  Each effective A step writes
@@ -212,14 +232,15 @@ def _canonical_word(T: HookValuedTableau, order: str) -> str:
 
 
 def uncrowd_canonical(T: HookValuedTableau, order: str) -> UncrowdResult:
-    """Exhaustive uncrowding in one of the two canonical orders.
+    """Exhaustive uncrowding of a valid T in one of the two canonical orders.
 
     order "LA" performs all arm uncrowdings first then all leg uncrowdings
     (the word L^inf A^inf read right to left); order "AL" is the reverse.
     The insertion tableau always has zero excess.
     """
     result = uncrowd(T, _canonical_word(T, order))
-    assert result.insertion.arm_excess == 0 and result.insertion.leg_excess == 0
+    if any(x.arms or x.legs for row in result.insertion.rows for x in row):
+        raise InternalError("canonical uncrowding left excess in the insertion tableau")
     return result
 
 
@@ -228,16 +249,15 @@ def has_type(T: HookValuedTableau, typed_word) -> bool:
 
     typed_word is a sequence of (op, eps) pairs with op in {"A", "L"} and
     eps in {0, 1}, written like the word subscripts (applied right to left);
-    each bump must change the cell count by exactly its eps.
+    each bump of the valid T must change the cell count by exactly its eps.
     """
     word = list(typed_word)[::-1]
     for op, eps in word:
         if op not in ("A", "L") or eps not in (0, 1):
             raise ValueError(f"bad typed letter ({op!r}, {eps!r})")
-    cur = T
+    grid = _grid(T)
     for op, eps in word:
-        nxt, _ = (arm_bump if op == "A" else leg_bump)(cur)
-        if nxt.num_cells - cur.num_cells != eps:
+        rec = _bump(grid, op == "A")
+        if (rec is not None and rec.created is not None) != eps:
             return False
-        cur = nxt
     return True

@@ -93,6 +93,18 @@ def test_non_partition_arguments_are_usage_errors():
     assert err == "error: inner (3,) not contained in outer (2,)\n"
 
 
+def test_bad_word_is_usage_error():
+    # refused before stdin is read, so the invalid tableau T2 on stdin
+    # prints no violations
+    for word in ("XY", "ALX", "Linf", "lainf", "A L"):
+        code, out, err = invoke(["uncrowd", "--word", word], pc.T2)
+        assert code == 2 and out == "", word
+        assert err.startswith("usage: hooktab uncrowd "), word
+        assert err.endswith(f"argument --word: not a word over A/L, LAinf or ALinf: '{word}'\n")
+    for word in ("", "A", "LLAA", "LAinf", "ALinf"):
+        assert invoke(["uncrowd", "--word", word], pc.UNCROWD_INPUT)[0] == 0, word
+
+
 def test_uncrowd_trace_golden():
     code, out, _ = invoke(
         ["uncrowd", "--word", "LLAA", "--trace"], pc.UNCROWD_INPUT

@@ -1,4 +1,8 @@
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from hooktab.enumeration import EnumBounds, enum_hvt
 from hooktab.shapes import partitions_up_to
 from hooktab.switching import InternalError
 from hooktab.tableaux import (
+    HookCell,
     HookValuedTableau,
     MixedTableau,
     alpha,
@@ -334,7 +339,7 @@ def test_uncrowd_step_tripwire(monkeypatch):
     # a bump that never grows the shape must trip the step's budget, not loop
     T = parse_hvt(pc.ARM_BUMP_TRACE[0])
     stuck = BumpRecord("arm", (2, 2), None, 1)
-    monkeypatch.setattr(uncrowding, "arm_bump", lambda cur: (cur, stuck))
+    monkeypatch.setattr(uncrowding, "_bump", lambda grid, arm: stuck)
 
     def timeout(signum, frame):
         raise TimeoutError("the uncrowding step did not stop")
@@ -347,3 +352,92 @@ def test_uncrowd_step_tripwire(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def tableau_of(cells):
+    """The HookValuedTableau of a raw cell dict."""
+    rows = {}
+    for r, c in sorted(cells):
+        d = cells[(r, c)]
+        rows.setdefault(r, []).append(HookCell(d["h"], d["A"], d["L"]))
+    return HookValuedTableau(rows[r] for r in sorted(rows))
+
+
+def simulate_uncrowd_canonical(T, order):
+    """Canonical uncrowding by the raw-dict simulators alone: bump until a
+    cell appears, record alpha_c (beta_r) for the rightmost arm column
+    (topmost leg row) the step started from, and run every arm step before
+    every leg step for "LA" and the reverse for "AL"."""
+    cells = cells_of(T)
+    q_entries = {}
+    for letter in reversed(order):  # "A" and "L" also key the raw arm and leg lists
+        sim = simulate_one_arm_bump if letter == "A" else simulate_one_leg_bump
+        while any(d[letter] for d in cells.values()):
+            line = max(p[1] if letter == "A" else p[0] for p, d in cells.items() if d[letter])
+            before = set(cells)
+            while set(cells) == before:
+                cells = sim(tableau_of(cells))
+            (created,) = set(cells) - before
+            q_entries[created] = alpha(line) if letter == "A" else beta(line)
+    P = tableau_of(cells)
+    return P, MixedTableau(P.shape, T.shape, q_entries)
+
+
+def test_uncrowd_canonical_matches_simulator():
+    # the raw-dict simulators share no code with uncrowding
+    for T in small_hvts():
+        for order in ("LA", "AL"):
+            res = uncrowd_canonical(T, order)
+            assert (res.insertion, res.recording) == simulate_uncrowd_canonical(T, order)
+
+
+def test_local_check_equals_full_check():
+    # every one-cell replacement of a valid tableau: the check of the
+    # replaced cell and its neighbours sees exactly what hvt_violations sees
+    pool = [HookCell(h) for h in range(1, 5)]
+    pool += [HookCell(h, (e,)) for h in range(1, 5) for e in range(1, 5)]
+    pool += [HookCell(h, (), (e,)) for h in range(1, 5) for e in range(1, 5)]
+    pool += [HookCell(1, (2, 2)), HookCell(1, (3, 2)), HookCell(1, (), (2, 3)), HookCell(1, (), (3, 3))]
+    outcomes = []
+    for lam in partitions_up_to(3):
+        for T in enum_hvt(lam, EnumBounds(3, 2)):
+            for (r, c), _ in T.cells():
+                for x in pool:
+                    U = T.replace(r, c, x)
+                    broken = uncrowding._broken(uncrowding._grid(U), r, c)
+                    assert broken == bool(hvt_violations(U)), (U, r, c)
+                    outcomes.append(broken)
+    assert any(outcomes) and not all(outcomes)
+
+
+BREAKING_BUMP = """\
+from hooktab.switching import InternalError
+from hooktab.tableaux import HookCell, HookValuedTableau
+from hooktab.uncrowding import arm_bump
+# the arm 4 moves into (1, 2), right of the larger leg 6 of (1, 1)
+T = HookValuedTableau([[HookCell(1, (), (6,)), HookCell(5)], [HookCell(2, (4,))]])
+try:
+    arm_bump(T)
+except InternalError as exc:
+    print(exc)
+"""
+
+
+def test_bump_check_survives_optimize(capsys):
+    # the check raises InternalError in process and under python -O, which
+    # strips asserts
+    expected = (
+        "bump produced an invalid tableau: "
+        "[('RowViolation', (1, 1), (1, 2)), ('ColumnViolation', (1, 1), (2, 1))]\n"
+    )
+    exec(BREAKING_BUMP, {})
+    assert capsys.readouterr().out == expected
+    src = str(Path(uncrowding.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-B", "-O", "-c", BREAKING_BUMP],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout == expected, done.stderr
