@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, combinations_with_replacement
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .shapes import (
     Partition,
@@ -194,15 +195,11 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _lambdas(lam, limit):
-    return [check_partition(lam)] if lam is not None else partitions_up_to(limit)
-
-
 def _check_commute(lam, bounds):
     """Lemma on commuting arm and leg bumps, all three cases."""
-    lams = _lambdas(lam, DEFAULT_LAMBDA_LIMIT)
-    tableaux = [T for l in lams for T in enum_hvt(l, bounds)]
-    relevant = [T for T in tableaux if T.arm_excess >= 1 and T.leg_excess >= 1]
+    relevant = [
+        T for T in enum_hvt(lam, bounds) if T.arm_excess >= 1 and T.leg_excess >= 1
+    ]
     failures = []
     for T in relevant:
         TA, _ = arm_bump(T)
@@ -213,43 +210,44 @@ def _check_commute(lam, bounds):
         gl = TL.num_cells - T.num_cells
         TAL, _ = arm_bump(TL)
         gal = TAL.num_cells - TL.num_cells
-        name = serialize_hvt(T)
         if ga == 1 and gla == 1 and gl == 1 and gal == 0:
             TAAL, _ = arm_bump(TAL)
             if TLA != TAAL:
-                failures.append(f"case1 equality fails for {name}")
+                failures.append(f"case1 equality fails for {serialize_hvt(T)}")
             if TAAL.num_cells - TAL.num_cells != 1:
-                failures.append(f"case1 type A(1)A(0)L(1) fails for {name}")
+                failures.append(f"case1 type A(1)A(0)L(1) fails for {serialize_hvt(T)}")
         elif ga == 1 and gla == 0 and gl == 1 and gal == 1:
             TLLA, _ = leg_bump(TLA)
             if TLLA != TAL:
-                failures.append(f"case2 equality fails for {name}")
+                failures.append(f"case2 equality fails for {serialize_hvt(T)}")
             if TLLA.num_cells - TLA.num_cells != 1:
-                failures.append(f"case2 type L(1)L(0)A(1) fails for {name}")
+                failures.append(f"case2 type L(1)L(0)A(1) fails for {serialize_hvt(T)}")
         else:
             if gl != gla or gal != ga:
-                failures.append(f"case3 type swap fails for {name}")
+                failures.append(f"case3 type swap fails for {serialize_hvt(T)}")
             if TLA != TAL:
-                failures.append(f"case3 equality fails for {name}")
+                failures.append(f"case3 equality fails for {serialize_hvt(T)}")
     return len(relevant), failures
 
 
 def _check_shuffle_theorem(lam, bounds):
     """Interchanging the uncrowding order: equal insertions, shuffled
     recordings, for both the length-two words and the canonical orders."""
-    lams = _lambdas(lam, DEFAULT_LAMBDA_LIMIT)
-    tableaux = [T for l in lams for T in enum_hvt(l, bounds)]
+    tableaux = enum_hvt(lam, bounds)
     failures = []
     for T in tableaux:
-        name = serialize_hvt(T)
         for label, (p1, q1, _), (p2, q2, _) in (
             ("single", uncrowd(T, "LA"), uncrowd(T, "AL")),
             ("canonical", uncrowd_canonical(T, "LA"), uncrowd_canonical(T, "AL")),
         ):
             if p2 != p1:
-                failures.append(f"{label}: insertion tableaux differ for {name}")
+                failures.append(
+                    f"{label}: insertion tableaux differ for {serialize_hvt(T)}"
+                )
             if q2 != shuffle(q1):
-                failures.append(f"{label}: recording is not the shuffle for {name}")
+                failures.append(
+                    f"{label}: recording is not the shuffle for {serialize_hvt(T)}"
+                )
     return len(tableaux), failures
 
 
@@ -271,75 +269,90 @@ def _expected_pairs(lam, bounds, recording_enum):
 def _check_image(lam, bounds, *, use_phi: bool):
     """Bijectivity and weight preservation of canonical uncrowding (onto
     SSYT x BFT) or of the composite map (onto SSYT x EXQ)."""
-    lams = _lambdas(lam, DEFAULT_LAMBDA_LIMIT)
-    total = 0
+    tableaux = enum_hvt(lam, bounds)
     failures = []
-    for l in lams:
-        tableaux = enum_hvt(l, bounds)
-        total += len(tableaux)
-        seen = {}
-        for T in tableaux:
-            name = serialize_hvt(T)
-            if use_phi:
-                P, Q = phi(T)
-                if not is_exquisite(Q):
-                    failures.append(f"phi recording not exquisite for {name}")
-            else:
-                P, Q, _ = uncrowd_canonical(T, "LA")
-                if not is_biflagged(Q):
-                    failures.append(f"recording not biflagged for {name}")
-            if P.arm_excess or P.leg_excess:
-                failures.append(f"insertion has excess for {name}")
-            if weight_hvt(T) != weight_hvt(P) * weight_mixed(Q):
-                failures.append(f"weight not preserved for {name}")
-            key = (serialize_hvt(P), serialize_mixed(Q))
-            if key in seen:
-                failures.append(f"collision: {name} and {seen[key]} map to {key}")
-            seen[key] = name
-        expected = _expected_pairs(
-            l, bounds, enum_exquisite if use_phi else enum_biflagged
-        )
-        for missing in sorted(expected - set(seen)):
-            failures.append(f"pair not attained for lambda={l}: {missing}")
-        for extra in sorted(set(seen) - expected):
-            failures.append(f"unexpected pair for lambda={l}: {extra}")
-    return total, failures
+    seen = {}  # serialized (P, Q) -> the tableau mapped to it
+    for T in tableaux:
+        if use_phi:
+            P, Q = phi(T)
+            if not is_exquisite(Q):
+                failures.append(f"phi recording not exquisite for {serialize_hvt(T)}")
+        else:
+            P, Q, _ = uncrowd_canonical(T, "LA")
+            if not is_biflagged(Q):
+                failures.append(f"recording not biflagged for {serialize_hvt(T)}")
+        if P.arm_excess or P.leg_excess:
+            failures.append(f"insertion has excess for {serialize_hvt(T)}")
+        if weight_hvt(T) != weight_hvt(P) * weight_mixed(Q):
+            failures.append(f"weight not preserved for {serialize_hvt(T)}")
+        key = (serialize_hvt(P), serialize_mixed(Q))
+        if key in seen:
+            first, second = serialize_hvt(T), serialize_hvt(seen[key])
+            failures.append(f"collision: {first} and {second} map to {key}")
+        seen[key] = T
+    expected = _expected_pairs(
+        lam, bounds, enum_exquisite if use_phi else enum_biflagged
+    )
+    for missing in sorted(expected - set(seen)):
+        failures.append(f"pair not attained for lambda={lam}: {missing}")
+    for extra in sorted(set(seen) - expected):
+        failures.append(f"unexpected pair for lambda={lam}: {extra}")
+    return len(tableaux), failures
 
 
-def _check_ggjdt_bijection(outer, inner, max_outer):
-    """GG-jdt as a weight-preserving bijection BFT -> EXQ, per skew shape."""
+def _check_ggjdt_bijection(shape, bounds):
+    """GG-jdt as a weight-preserving bijection BFT -> EXQ on one skew shape."""
+    mu, lam = shape
+    bft = enum_biflagged(mu, lam)
+    exq = enum_exquisite(mu, lam)
+    images = [gg_jdt(Q) for Q in bft]
+    failures = []
+    for Q, E in zip(bft, images):
+        if not is_exquisite(E):
+            failures.append(f"{mu}/{lam}: image of {serialize_mixed(Q)} not exquisite")
+        if weight_mixed(E) != weight_mixed(Q):
+            failures.append(f"{mu}/{lam}: weight changed for {serialize_mixed(Q)}")
+    if len(set(images)) != len(images):
+        failures.append(f"{mu}/{lam}: GG-jdt not injective")
+    if len(bft) != len(exq):
+        failures.append(f"{mu}/{lam}: |BFT|={len(bft)} but |EXQ|={len(exq)}")
+    elif set(images) != set(exq):
+        failures.append(f"{mu}/{lam}: image differs from EXQ")
+    return 1, failures
+
+
+def _each_lambda(shape, max_outer):
+    """One shard per lambda: the given one, or each partition of size at most
+    DEFAULT_LAMBDA_LIMIT."""
+    lam = shape["lambda"]
+    if lam is None:
+        return partitions_up_to(DEFAULT_LAMBDA_LIMIT)
+    return [check_partition(lam)]
+
+
+def _each_skew_shape(shape, max_outer):
+    """One shard per skew shape: outer/inner, or each with |outer| <= max_outer."""
+    outer, inner = shape["outer"], shape["inner"]
     if outer is None and inner is not None:
         raise ValueError("ggjdt_bijection does not use inner without outer")
-    shapes = skew_shapes(max_outer) if outer is None else [check_skew(outer, inner or ())]
-    failures = []
-    for mu, lam in shapes:
-        bft = enum_biflagged(mu, lam)
-        exq = enum_exquisite(mu, lam)
-        images = []
-        for Q in bft:
-            E = gg_jdt(Q)
-            images.append(E)
-            name = serialize_mixed(Q)
-            if not is_exquisite(E):
-                failures.append(f"{mu}/{lam}: image of {name} not exquisite")
-            if weight_mixed(E) != weight_mixed(Q):
-                failures.append(f"{mu}/{lam}: weight changed for {name}")
-        if len(set(images)) != len(images):
-            failures.append(f"{mu}/{lam}: GG-jdt not injective")
-        if len(bft) != len(exq):
-            failures.append(f"{mu}/{lam}: |BFT|={len(bft)} but |EXQ|={len(exq)}")
-        elif set(images) != set(exq):
-            failures.append(f"{mu}/{lam}: image differs from EXQ")
-    return len(shapes), failures
+    return skew_shapes(max_outer) if outer is None else [check_skew(outer, inner or ())]
 
 
-CHECK_IDS = (
-    "commute_lemma",
-    "shuffle_theorem",
-    "uncrowd_image",
-    "phi_bijection",
-    "ggjdt_bijection",
-)
+class Check(NamedTuple):
+    uses: tuple[str, ...]  # the shape arguments the check reads
+    shards: Callable  # (shape arguments, max_outer) -> shards, in order
+    run: Callable  # (shard, bounds) -> (instances checked, failures)
+
+
+_LAMBDA, _SKEW = ("lambda",), ("outer", "inner")
+CHECKS = {
+    "commute_lemma": Check(_LAMBDA, _each_lambda, _check_commute),
+    "shuffle_theorem": Check(_LAMBDA, _each_lambda, _check_shuffle_theorem),
+    "uncrowd_image": Check(_LAMBDA, _each_lambda, partial(_check_image, use_phi=False)),
+    "phi_bijection": Check(_LAMBDA, _each_lambda, partial(_check_image, use_phi=True)),
+    "ggjdt_bijection": Check(_SKEW, _each_skew_shape, _check_ggjdt_bijection),
+}
+CHECK_IDS = tuple(CHECKS)
 
 
 def verify(
@@ -355,41 +368,32 @@ def verify(
 ) -> VerificationReport:
     """Run one exhaustive theorem check and collect every counterexample.
 
-    Every check runs sequentially in this thread.  seed and jobs are
-    accepted for compatibility and change neither the work done nor the
-    report; a shape argument the check would ignore raises ValueError.
+    The check's row in CHECKS names the shape arguments it reads, its
+    shards and the function that checks one shard.  Every shard runs
+    sequentially in this thread.  seed and jobs are accepted for
+    compatibility and change neither the work done nor the report; a
+    negative bound, or a shape argument the check would ignore, raises
+    ValueError.
     """
-    if check_id not in CHECK_IDS:
+    if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {CHECK_IDS}")
-    shaped = check_id == "ggjdt_bijection"
-    unused = (("lambda", lam),) if shaped else (("outer", outer), ("inner", inner))
-    for name, value in unused:
-        if value is not None:
+    check = CHECKS[check_id]
+    bounds = EnumBounds(*bounds)
+    for name, value in zip(("n", "excess", "max_outer"), (*bounds, max_outer)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    shape = {"lambda": lam, "outer": outer, "inner": inner}
+    for name, value in shape.items():
+        if value is not None and name not in check.uses:
             raise ValueError(f"{check_id} does not use {name}")
     t0 = time.perf_counter()
-    if check_id == "commute_lemma":
-        n, failures = _check_commute(lam, bounds)
-    elif check_id == "shuffle_theorem":
-        n, failures = _check_shuffle_theorem(lam, bounds)
-    elif check_id == "uncrowd_image":
-        n, failures = _check_image(lam, bounds, use_phi=False)
-    elif check_id == "phi_bijection":
-        n, failures = _check_image(lam, bounds, use_phi=True)
-    else:
-        n, failures = _check_ggjdt_bijection(outer, inner, max_outer)
+    instances, failures = 0, []
+    for shard in check.shards(shape, max_outer):
+        n, found = check.run(shard, bounds)
+        instances += n
+        failures += found
+    elapsed = time.perf_counter() - t0
     # only bounds and shapes: seed and jobs must not change the output bytes
-    params = {
-        "lambda": list(lam) if lam is not None else None,
-        "n": bounds.max_entry,
-        "excess": bounds.max_excess,
-        "outer": list(outer) if outer is not None else None,
-        "inner": list(inner) if inner is not None else None,
-        "max_outer": max_outer,
-    }
-    return VerificationReport(
-        check_id=check_id,
-        parameters=params,
-        instances_checked=n,
-        failures=sorted(failures),
-        elapsed=time.perf_counter() - t0,
-    )
+    params = dict(n=bounds.max_entry, excess=bounds.max_excess, max_outer=max_outer)
+    params.update((k, None if v is None else list(v)) for k, v in shape.items())
+    return VerificationReport(check_id, params, instances, sorted(failures), elapsed)

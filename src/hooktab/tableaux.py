@@ -124,20 +124,6 @@ class HookValuedTableau:
         rows[r - 1][c - 1] = cell
         return HookValuedTableau(rows)
 
-    def add_cell(self, at: Cell, cell: HookCell) -> "HookValuedTableau":
-        """Grow the shape by one cell; the result must still be a partition."""
-        r, c = at
-        rows = [list(row) for row in self.rows]
-        if r == len(rows) + 1:
-            rows.append([])
-        if not (1 <= r <= len(rows) and c == len(rows[r - 1]) + 1):
-            raise ValueError(f"cannot add cell at {at}")
-        rows[r - 1].append(cell)
-        grown = HookValuedTableau(rows)
-        if not is_partition(grown.shape):
-            raise ValueError(f"adding cell at {at} breaks the partition shape")
-        return grown
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HookValuedTableau) and self.rows == other.rows
 

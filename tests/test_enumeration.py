@@ -1,10 +1,13 @@
+import hashlib
 from itertools import product
+from unittest import mock
 
 import pytest
 
 import paper_cases as pc
 from oracles import brute_biflagged, brute_exquisite, brute_sorted_strict
 from oracles import ssyt_count as ssyt_count_oracle
+import hooktab.enumeration as en
 from hooktab.enumeration import (
     CHECK_IDS,
     EnumBounds,
@@ -230,6 +233,19 @@ def test_verify_report_json_shape():
     assert "elapsed" not in text
 
 
+def _sha256(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+REPORT_SHA256 = {
+    "commute_lemma": "cf6988869ae0a5169597b40b7fdc97590b24332bad4c5525f599decea9c5b49d",
+    "shuffle_theorem": "1200c2c85781b1e21596149ae220a9f31cd906c7e3ff6644268d7cf0936ca190",
+    "uncrowd_image": "724b8210a594cc2677f99dcbf6bccd6b4c1a8b8e05dcc69b063639da2b0d4fdd",
+    "phi_bijection": "37ff5dd52cd2f96e459033b37b95c17afd965feebc17f97ef8f98956f2aa3d84",
+    "ggjdt_bijection": "0b24955238f0c5a61ba4415acaac8f442050db374614ae03a5b988b1aafbcd3f",
+}
+
+
 def test_verify_jobs_deterministic():
     for check_id in CHECK_IDS:
         if check_id == "ggjdt_bijection":
@@ -241,6 +257,70 @@ def test_verify_jobs_deterministic():
             for jobs in (1, 2, 4)
         }
         assert len(reports) == 1, check_id
+        digest = hashlib.sha256(reports.pop().encode()).hexdigest()
+        assert digest == REPORT_SHA256[check_id], check_id
+
+
+def _first_phi_per_shape():
+    real, first = en.phi, {}
+
+    def fake(T):
+        if T.shape not in first:
+            first[T.shape] = real(T)
+        return first[T.shape]
+
+    return fake
+
+
+def test_verify_fault_reports_pinned():
+    # each injected fault must fail its check with exactly these report bytes
+    faults = [
+        ("shuffle", lambda T: None, "shuffle_theorem", (3, 2), 448,
+         "08afb303e828288ab40e245012ce2e3bc042828d94d3dc65b7b4f1f834d67f0d"),
+        ("is_biflagged", lambda Q: False, "uncrowd_image", (3, 2), 448,
+         "db244ed592a1b072268be294ad1527d9d9282f4ea2e2cc570ec30abe07e67e03"),
+        ("phi", _first_phi_per_shape(), "phi_bijection", (3, 1), 165,
+         "f4ea4e391f9346fb2ad448bcfc71a920f010e7ea0961f9179305d106f51503fe"),
+        ("enum_exquisite", lambda outer, inner: [], "phi_bijection", (3, 1), 56,
+         "618a91266f33f67cb161e2dbf61ae98bee5b4eafa7b910b95a4ff69e44405aef"),
+        ("leg_bump", en.arm_bump, "commute_lemma", (3, 2), 60,
+         "98fa30e806008a4047e9732674cb2e5e2f5bfdb8a2001132656cf1388cff459b"),
+        ("is_exquisite", lambda T: len(T.entries) % 2 == 0, "ggjdt_bijection",
+         None, 26,
+         "bc39ca30c1460fd76257e57fbac41ac6938405212e1c29dd341c8dcef0f73a10"),
+    ]
+    for name, fake, check_id, bounds, n_failures, digest in faults:
+        with mock.patch.object(en, name, fake):
+            if bounds is None:
+                report = verify(check_id, max_outer=4)
+            else:
+                report = verify(check_id, (2, 1), EnumBounds(*bounds))
+        assert not report.passed, name
+        assert len(report.failures) == n_failures, name
+        assert _sha256(report) == digest, name
+
+
+def test_verify_accepts_plain_tuple_bounds():
+    for check_id in ("commute_lemma", "phi_bijection"):
+        plain = verify(check_id, (2, 1), (2, 2))
+        named = verify(check_id, (2, 1), EnumBounds(2, 2))
+        assert plain.instances_checked > 0
+        assert plain.to_json() == named.to_json()
+
+
+def test_verify_refuses_negative_bounds():
+    cases = [
+        ("commute_lemma", {"bounds": EnumBounds(2, -1)}, "excess", -1),
+        ("phi_bijection", {"bounds": EnumBounds(2, -1)}, "excess", -1),
+        ("shuffle_theorem", {"lam": (1,), "bounds": (-2, 1)}, "n", -2),
+        ("ggjdt_bijection", {"max_outer": -3}, "max_outer", -3),
+    ]
+    boom = mock.Mock(side_effect=AssertionError("work done before the refusal"))
+    for check_id, kwargs, name, value in cases:
+        message = f"^{name} must be nonnegative, got {value}$"
+        with mock.patch.multiple(en, enum_hvt=boom, skew_shapes=boom):
+            with pytest.raises(ValueError, match=message):
+                verify(check_id, **kwargs)
 
 
 def test_phi_injective_and_counts():
