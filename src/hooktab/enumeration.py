@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, NamedTuple
 
 from .shapes import (
@@ -257,12 +257,9 @@ def _expected_pairs(lam, bounds, recording_enum):
     for mu in partitions_containing(lam, emax):
         if len(mu) > n:
             continue
-        qs = recording_enum(mu, lam)
-        if not qs:
-            continue
-        for P in enum_ssyt(mu, n):
-            for Q in qs:
-                expected.add((serialize_hvt(P), serialize_mixed(Q)))
+        qs = [serialize_mixed(Q) for Q in recording_enum(mu, lam)]
+        if qs:
+            expected.update(product(map(serialize_hvt, enum_ssyt(mu, n)), qs))
     return expected
 
 

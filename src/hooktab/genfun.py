@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .enumeration import EnumBounds, enum_biflagged, enum_exquisite, enum_hvt, enum_ssyt
+from .enumeration import EnumBounds, enum_biflagged, enum_exquisite, enum_hvt
 from .polynomials import (
     CapTooSmall,
     Monomial,
@@ -27,11 +27,9 @@ from .tableaux import weight_hvt, weight_mixed
 
 
 def schur_poly(mu, n: int, cap: int) -> TruncatedPolynomial:
-    """The Schur polynomial s_mu(x_1..x_n) as the SSYT weight sum."""
-    mu = check_partition(mu)
-    if cap < sum(mu):
-        raise CapTooSmall(f"cap {cap} cannot hold degree {sum(mu)}")
-    return _weight_sum(enum_ssyt(mu, n), weight_hvt, cap)
+    """The Schur polynomial s_mu(x_1..x_n) as the SSYT weight sum, that is
+    the hook-valued sum at excess 0."""
+    return hvt_genfun(mu, EnumBounds(n, 0), cap)
 
 
 def hvt_genfun(lam, bounds: EnumBounds, cap: int) -> TruncatedPolynomial:

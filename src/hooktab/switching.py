@@ -6,10 +6,12 @@ normal form independent of the switch order.  The shuffle is one specific
 switch strategy; GG-jdt runs the same slide loop but moves an alpha only
 past a beta it is out of order with, a content-twisted partial sequence.
 
-Each public entry point validates its input once.  A switch is then checked
-locally: only the pairs that involve the two moved entries can break
-strictness, so only those are compared, and the swapped tableau is built
-without re-validating its shape.
+Each public entry point validates its input once, through one gate whose
+neighbour rule accepts sorted strict tableaux; only other inputs pay for the
+global strictness predicates.  A legal switch is an (alpha cell, beta cell)
+pair, checked locally: only the pairs that involve the two moved entries can
+break strictness.  Only an applied switch builds a tableau, without
+re-validating its shape.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ class OutOfOrderWitness(NamedTuple):
 
 
 def _require_strict(T: MixedTableau, *, sorted_ab: bool = False) -> None:
-    # the neighbour rule decides; the global predicates only pick the message
-    if sorted_ab and _all_fit(T, _sorted_strict):
+    # the neighbour rule accepts every sorted strict tableau; the global
+    # predicates run only for the rest, to reject or to pick the message
+    if _all_fit(T, _sorted_strict):
         return
     if not (is_alpha_column_strict(T) and is_beta_row_strict(T)):
         raise PreconditionViolation(
@@ -57,15 +60,6 @@ def _require_strict(T: MixedTableau, *, sorted_ab: bool = False) -> None:
         )
     if sorted_ab:
         raise PreconditionViolation("tableau must be (alpha,beta)-sorted")
-
-
-def _target(move: SwitchMove) -> Cell:
-    (r, c) = move.cell
-    if move.direction == "up":
-        return (r + 1, c)
-    if move.direction == "right":
-        return (r, c + 1)
-    raise ValueError(f"direction must be 'up' or 'right', got {move.direction!r}")
 
 
 def _fits(T: MixedTableau, old: Cell, new: Cell, axis: int) -> bool:
@@ -89,20 +83,6 @@ def _fits(T: MixedTableau, old: Cell, new: Cell, axis: int) -> bool:
     return True
 
 
-def _switch(T: MixedTableau, p: Cell, q: Cell) -> Optional[MixedTableau]:
-    """T with the alpha at p and the beta at q exchanged; None unless both
-    are there and the exchange is legal."""
-    u = T.entries.get(p)
-    v = T.entries.get(q)
-    if u is None or v is None or u.kind != "a" or v.kind != "b":
-        return None
-    # T is strict, so the swap is legal iff the moved alpha keeps T
-    # alpha-column-strict and the moved beta keeps it beta-row-strict
-    if _fits(T, p, q, 1) and _fits(T, q, p, 0):
-        return T.swapped(p, q)
-    return None
-
-
 def try_switch(T: MixedTableau, move: SwitchMove) -> Optional[MixedTableau]:
     """Apply one switch if legal, else None.
 
@@ -111,27 +91,46 @@ def try_switch(T: MixedTableau, move: SwitchMove) -> Optional[MixedTableau]:
     the swap must preserve alpha-column-strictness and beta-row-strictness.
     """
     _require_strict(T)
-    return _switch(T, move.cell, _target(move))
+    (r, c) = move.cell
+    if move.direction == "up":
+        pair = (move.cell, (r + 1, c))
+    elif move.direction == "right":
+        pair = (move.cell, (r, c + 1))
+    else:
+        raise ValueError(f"direction must be 'up' or 'right', got {move.direction!r}")
+    return T.swapped(*pair) if pair in _legal_switches(T) else None
 
 
 def available_switches(T: MixedTableau) -> list[tuple[SwitchMove, MixedTableau]]:
     """All legal switches with their results, scanning rows top to bottom
     and columns left to right."""
     _require_strict(T)
-    return _legal_switches(T)
+    return [
+        (SwitchMove(p, "up" if q[0] > p[0] else "right"), T.swapped(p, q))
+        for p, q in _legal_switches(T)
+    ]
 
 
-def _legal_switches(T: MixedTableau) -> list[tuple[SwitchMove, MixedTableau]]:
+def _legal_switches(T: MixedTableau) -> list[tuple[Cell, Cell]]:
+    """The (alpha cell, beta cell) pairs of a strict T whose exchange is
+    legal, rows top to bottom, columns left to right, up before right."""
+    entries = T.entries
     out = []
     for r in range(len(T.outer), 0, -1):
         for c in range(1, T.outer[r - 1] + 1):
-            u = T.entries.get((r, c))
+            p = (r, c)
+            u = entries.get(p)
             if u is None or u.kind != "a":
                 continue
-            for direction, q in (("up", (r + 1, c)), ("right", (r, c + 1))):
-                res = _switch(T, (r, c), q)
-                if res is not None:
-                    out.append((SwitchMove((r, c), direction), res))
+            for q in ((r + 1, c), (r, c + 1)):
+                v = entries.get(q)
+                if v is None or v.kind != "b":
+                    continue
+                # T is strict, so the exchange is legal iff the moved alpha
+                # keeps T alpha-column-strict and the moved beta keeps it
+                # beta-row-strict
+                if _fits(T, p, q, 1) and _fits(T, q, p, 0):
+                    out.append((p, q))
     return out
 
 
@@ -160,13 +159,10 @@ def fully_switch(
     rng = random.Random(seed) if strategy == "random" else None
     cur = T
     for _ in range(_switch_budget(T) + 1):
-        moves = _legal_switches(cur)
-        if not moves:
+        pairs = _legal_switches(cur)
+        if not pairs:
             return cur
-        if rng is None:
-            cur = moves[0][1]
-        else:
-            cur = rng.choice(moves)[1]
+        cur = cur.swapped(*(pairs[0] if rng is None else rng.choice(pairs)))
     raise InternalError("fully_switch exceeded its switch budget")
 
 

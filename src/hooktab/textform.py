@@ -120,22 +120,22 @@ def _split_tableau(cur: _Cursor, parse_cell) -> tuple[list[list], list[int]]:
             cur.fail("'|', '/' or end of input")
 
 
+def _entry_list(cur: _Cursor, marker: str, what: str) -> list[int]:
+    """The comma-separated positive integers after marker; [] if the cursor
+    is not at marker."""
+    out: list[int] = []
+    sep = marker
+    while cur.peek() == sep:
+        cur.take()
+        out.append(cur.positive_int(what))
+        sep = ","
+    return out
+
+
 def _parse_hook_cell(cur: _Cursor) -> HookCell:
     hook = cur.positive_int("positive integer hook entry")
-    arms: list[int] = []
-    legs: list[int] = []
-    if cur.peek() == "+":
-        cur.take()
-        arms.append(cur.positive_int("positive integer arm entry"))
-        while cur.peek() == ",":
-            cur.take()
-            arms.append(cur.positive_int("positive integer arm entry"))
-    if cur.peek() == "^":
-        cur.take()
-        legs.append(cur.positive_int("positive integer leg entry"))
-        while cur.peek() == ",":
-            cur.take()
-            legs.append(cur.positive_int("positive integer leg entry"))
+    arms = _entry_list(cur, "+", "positive integer arm entry")
+    legs = _entry_list(cur, "^", "positive integer leg entry")
     return HookCell(hook, arms, legs)
 
 

@@ -122,10 +122,9 @@ def _expect_tripwire(run):
 def test_fully_switch_tripwire(monkeypatch):
     # a switch relation with a cycle must trip the budget, not loop forever
     T = parse_mixed(pc.SWITCH_START)
-    move, U = available_switches(T)[0]
-    monkeypatch.setattr(
-        switching, "_legal_switches", lambda cur: [(move, T if cur == U else U)]
-    )
+    pair = switching._legal_switches(T)[0]
+    assert T.swapped(*pair).swapped(*pair) == T
+    monkeypatch.setattr(switching, "_legal_switches", lambda cur: [pair])
     _expect_tripwire(lambda: fully_switch(T))
 
 
@@ -185,6 +184,10 @@ def test_available_switches_match_brute_force():
         seen.add(T)
         expected = _brute_switches(T)
         assert available_switches(T) == expected, serialize_mixed(T)
+        legal = dict(expected)
+        for p in T.entries:
+            for d in ("up", "right"):
+                assert try_switch(T, SwitchMove(p, d)) == legal.get((p, d)), (T, p, d)
         todo.extend(S for _, S in expected)
     # ... and every strict tableau over alphas 1..2 and betas 0..2
     extra = 0
@@ -310,6 +313,10 @@ def test_preconditions_and_predicates_on_every_small_filling():
                 expected = None
             for run in (shuffle, gg_jdt):
                 assert _precondition_message(run, T) == expected, (run, T)
+            # entry points that take unsorted input reject only non-strict T
+            gate = None if strict else expected
+            for run in (available_switches, gg_out_of_order):
+                assert _precondition_message(run, T) == gate, (run, T)
             assert is_exquisite(T) == brute_is_exquisite(T), T
             if is_biflagged(T):
                 assert flags[7] and expected is None, T
