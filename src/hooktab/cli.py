@@ -31,7 +31,7 @@ from .textform import (
     serialize_hvt,
     serialize_mixed,
 )
-from .uncrowding import _canonical_word, _collect, _tableau, _uncrowd_steps
+from .uncrowding import arm_uncrowd, leg_uncrowd, uncrowd, uncrowd_canonical
 
 
 def _partition_arg(text: str):
@@ -176,14 +176,17 @@ def _cmd_uncrowd(args, stdin, out, err) -> int:
     T = _read_valid_hvt(stdin, out)
     if T is None:
         return 1
-    word = _canonical_word(T, args.word[:2]) if args.word.endswith("inf") else args.word
-    steps, trace = [], ([serialize_hvt(T)] if args.trace else [])
-    for letter, grid, rec in _uncrowd_steps(T, word):
-        steps.append((letter, grid, rec))
-        if args.trace:
-            trace += [f"--{letter}-->", serialize_hvt(_tableau(grid))]
-    result = _collect(T, steps)
+    if args.word.endswith("inf"):
+        result = uncrowd_canonical(T, args.word[:2])
+    else:
+        result = uncrowd(T, args.word)
     if args.trace:
+        # each record is one effective step: replay it on the public map
+        trace, cur = [serialize_hvt(T)], T
+        for rec in result.records:
+            arm = rec.kind == "arm"
+            cur = (arm_uncrowd if arm else leg_uncrowd)(cur)[0]
+            trace += ["--A-->" if arm else "--L-->", serialize_hvt(cur)]
         print("\n".join(trace), file=out)
     print(f"P: {serialize_hvt(result.insertion)}", file=out)
     print(f"Q: {serialize_mixed(result.recording)}", file=out)

@@ -9,17 +9,13 @@ coefficients from the determinant side by graded exact division.
 
 from __future__ import annotations
 
-from operator import add, sub
-
 from .enumeration import EnumBounds, enum_biflagged, enum_exquisite, enum_hvt
 from .polynomials import (
     CapTooSmall,
     Monomial,
     TruncatedPolynomial,
-    _flat_key,
-    _from_flat_key,
-    _layout,
     beta_mono,
+    exact_divide,
     x_mono,
 )
 from .shapes import check_partition, partitions_containing
@@ -160,37 +156,6 @@ def det_formula_check(lam, n: int, cap: int):
 # Coefficient extraction (independent counting oracle)
 
 
-def _exact_divide(p: TruncatedPolynomial, v: TruncatedPolynomial, n: int):
-    """Exact division of p by v in n x-variables (v monic in lex order);
-    raises ArithmeticError if v is not monic or the division is not exact.
-
-    Every monomial is handled as its exponent key, so each key is built
-    once and the leading term is the largest key of the remainder."""
-    nx, na, nb = _layout([*p.terms, *v.terms])
-    nx = max(nx, n)
-    divisor = [(_flat_key(m, nx, na, nb), c) for m, c in v.terms.items()]
-    v_lead, v_coeff = max(divisor)
-    if v_coeff != 1:
-        raise ArithmeticError("divisor must be monic in lex order")
-    quotient: dict[Monomial, int] = {}
-    rem = {_flat_key(m, nx, na, nb): c for m, c in p.terms.items()}
-    while rem:
-        lead = max(rem)
-        t = tuple(map(sub, lead, v_lead))
-        if min(t) < 0:
-            raise ArithmeticError("division is not exact")
-        coeff = rem[lead]
-        quotient[_from_flat_key(t, nx, na)] = coeff
-        for vk, vc in divisor:
-            k = tuple(map(add, t, vk))
-            c = rem.get(k, 0) - coeff * vc
-            if c:
-                rem[k] = c
-            else:
-                del rem[k]
-    return quotient
-
-
 def extract_weight_counts(lam, n: int, cap: int) -> dict[Monomial, int]:
     """Recover the per-weight tableau counts from the determinant side alone.
 
@@ -209,5 +174,5 @@ def extract_weight_counts(lam, n: int, cap: int) -> dict[Monomial, int]:
         piece = det.x_graded_piece(degree)
         if not piece:
             continue
-        counts.update(_exact_divide(piece, vand, n))
+        counts.update(exact_divide(piece, vand))
     return counts

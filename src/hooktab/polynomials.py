@@ -3,7 +3,8 @@
 Coefficients are Python ints, so they are exact at any magnitude.  A
 TruncatedPolynomial drops every monomial whose total degree in the x
 variables exceeds its cap; addition and multiplication are only defined
-between polynomials with equal caps.
+between polynomials with equal caps.  exact_divide divides by a
+polynomial monic in lex order, on the same exponent keys as the product.
 
 A monomial stores each of its three variable groups as an exponent vector:
 position i - 1 holds the exponent of index i, and the vector has no
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import islice
-from operator import add
+from operator import add, sub
 from typing import Mapping
 
 
@@ -312,3 +313,35 @@ def poly_add(a: TruncatedPolynomial, b: TruncatedPolynomial) -> TruncatedPolynom
 
 def poly_mul(a: TruncatedPolynomial, b: TruncatedPolynomial) -> TruncatedPolynomial:
     return a * b
+
+
+def exact_divide(
+    p: TruncatedPolynomial, v: TruncatedPolynomial
+) -> dict[Monomial, int]:
+    """The terms of p / v for v monic in lex order; raises ArithmeticError
+    if v is not monic or the division is not exact.
+
+    Every monomial is handled as its exponent key, so each key is built
+    once and the leading term is the largest key of the remainder."""
+    nx, na, nb = _layout([*p.terms, *v.terms])
+    divisor = [(_flat_key(m, nx, na, nb), c) for m, c in v.terms.items()]
+    v_lead, v_coeff = max(divisor)
+    if v_coeff != 1:
+        raise ArithmeticError("divisor must be monic in lex order")
+    quotient: dict[Monomial, int] = {}
+    rem = {_flat_key(m, nx, na, nb): c for m, c in p.terms.items()}
+    while rem:
+        lead = max(rem)
+        t = tuple(map(sub, lead, v_lead))
+        if min(t) < 0:
+            raise ArithmeticError("division is not exact")
+        coeff = rem[lead]
+        quotient[_from_flat_key(t, nx, na)] = coeff
+        for vk, vc in divisor:
+            k = tuple(map(add, t, vk))
+            c = rem.get(k, 0) - coeff * vc
+            if c:
+                rem[k] = c
+            else:
+                del rem[k]
+    return quotient

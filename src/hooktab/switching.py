@@ -166,22 +166,24 @@ def fully_switch(
     raise InternalError("fully_switch exceeded its switch budget")
 
 
-def _dest(entries: dict, cell: Cell, horizontal, vertical) -> Optional[Cell]:
-    """Where the alpha at cell moves: up when vertical applies and horizontal
-    does not or the upper index is larger, else right if horizontal does, else None."""
+def _dest(entries: dict, cell: Cell, moves) -> Optional[Cell]:
+    """Where the alpha at cell moves, given moves(entries, cell), whether it
+    may move right and whether it may move up: up when only that applies or
+    the upper index is larger, else right if that applies, else None."""
     r, c = cell
+    horizontal, vertical = moves(entries, cell)
     if vertical:
         if not horizontal or entries[(r + 1, c)].index > entries[(r, c + 1)].index:
             return (r + 1, c)
     return (r, c + 1) if horizontal else None
 
 
-def _slide_dest(entries: dict, cell: Cell) -> Optional[Cell]:
-    """_dest for the shuffle: past a beta to the right of or above cell."""
+def _beta_moves(entries: dict, cell: Cell) -> tuple[bool, bool]:
+    """Whether the shuffle moves the alpha at cell past a beta to its right
+    and past a beta above it: whenever that beta is there."""
     r, c = cell
     right, up = entries.get((r, c + 1)), entries.get((r + 1, c))
-    horizontal = right is not None and right.kind == "b"
-    return _dest(entries, cell, horizontal, up is not None and up.kind == "b")
+    return right is not None and right.kind == "b", up is not None and up.kind == "b"
 
 
 def _gg_moves(entries: dict, cell: Cell) -> tuple[bool, bool]:
@@ -197,33 +199,28 @@ def _gg_moves(entries: dict, cell: Cell) -> tuple[bool, bool]:
     )
 
 
-def _gg_dest(entries: dict, cell: Cell) -> Optional[Cell]:
-    """_dest for GG-jdt: past a beta the alpha at cell is out of order with."""
-    return _dest(entries, cell, *_gg_moves(entries, cell))
-
-
-def _slide(T: MixedTableau, dest, budget: int):
-    """Slide alphas of T until dest(entries, cell) moves none: each round
-    moves the alpha of smallest movable index, rightmost on ties, for as
-    long as dest finds it a cell.  Returns the result and the tableau after
-    each slide; more than budget slides is a bug."""
+def _slide(T: MixedTableau, moves, budget: int):
+    """Slide alphas of T until _dest(entries, cell, moves) moves none: each
+    round moves the alpha of smallest movable index, rightmost on ties, for
+    as long as _dest finds it a cell.  Returns the result and the tableau
+    after each slide; more than budget slides is a bug."""
     cur, steps = T, []
     while True:
         movable = [
             (e.index, -p[1], p)
             for p, e in cur.entries.items()
-            if e.kind == "a" and dest(cur.entries, p) is not None
+            if e.kind == "a" and _dest(cur.entries, p, moves) is not None
         ]
         if not movable:
             return cur, steps
         cell = min(movable)[2]
-        to = dest(cur.entries, cell)
+        to = _dest(cur.entries, cell, moves)
         while to is not None:
             if len(steps) == budget:
                 raise InternalError("slide loop exceeded its budget")
             cur = cur.swapped(cell, to)
             steps.append(cur)
-            cell, to = to, dest(cur.entries, to)
+            cell, to = to, _dest(cur.entries, to, moves)
 
 
 def shuffle(T: MixedTableau) -> MixedTableau:
@@ -236,7 +233,7 @@ def shuffle(T: MixedTableau) -> MixedTableau:
     exceeds the right one and right otherwise.
     """
     _require_strict(T, sorted_ab=True)
-    return _slide(T, _slide_dest, _switch_budget(T))[0]
+    return _slide(T, _beta_moves, _switch_budget(T))[0]
 
 
 def gg_out_of_order(T: MixedTableau) -> list[OutOfOrderWitness]:
@@ -259,7 +256,7 @@ def gg_jdt(T: MixedTableau, trace: bool = False):
     elementary slide.
     """
     _require_strict(T, sorted_ab=True)
-    result, steps = _slide(T, _gg_dest, 2 * _switch_budget(T))
+    result, steps = _slide(T, _gg_moves, 2 * _switch_budget(T))
     return (result, steps) if trace else result
 
 
@@ -267,4 +264,4 @@ def is_biflagged(T: MixedTableau) -> bool:
     """Sorted and strict, with both T and shuffle(T) flagged-mixed."""
     if not (is_flagged_mixed(T) and _all_fit(T, _sorted_strict)):
         return False
-    return is_flagged_mixed(_slide(T, _slide_dest, _switch_budget(T))[0])
+    return is_flagged_mixed(_slide(T, _beta_moves, _switch_budget(T))[0])

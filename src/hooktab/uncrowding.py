@@ -184,41 +184,27 @@ def leg_uncrowd(T: HookValuedTableau) -> tuple[HookValuedTableau, Optional[BumpR
     return _apply(T, _step, False)
 
 
-def _uncrowd_steps(T: HookValuedTableau, word: str):
-    """Yield (letter, grid, record) for each effective step of the word,
-    applying its letters right to left to one grid of T.  The grid is live:
-    it holds the tableau after the yielded step until the next one runs."""
-    if any(ch not in "AL" for ch in word):
-        raise ValueError(f"word must be over 'A'/'L', got {word!r}")
-    grid = _grid(T)
-    for letter in reversed(word):
-        rec = _step(grid, letter == "A")
-        if rec is not None:
-            yield letter, grid, rec
-
-
-def _collect(T: HookValuedTableau, steps) -> UncrowdResult:
-    """The uncrowding result of T from its effective steps."""
-    grid, records, q_entries = None, [], {}
-    for _, grid, rec in steps:
-        records.append(rec)
-        r, c = rec.origin
-        q_entries[rec.created] = alpha(c) if rec.kind == "arm" else beta(r)
-    P = T if grid is None else _tableau(grid)
-    recording = MixedTableau(P.shape, T.shape, q_entries)
-    return UncrowdResult(P, recording, tuple(records))
-
-
 def uncrowd(T: HookValuedTableau, word: str) -> UncrowdResult:
     """Run the uncrowding map on a valid T for a word over {A, L}.
 
     The word is given in the paper's subscript order f_n...f_1, so its
-    letters are applied right to left.  Each effective A step writes
-    alpha_c (c the origin column) into the created cell of the recording
-    tableau, each effective L step writes beta_r; no-op letters write
-    nothing.
+    letters are applied right to left, to one grid of T.  Each effective
+    A step writes alpha_c (c the origin column) into the created cell of
+    the recording tableau, each effective L step writes beta_r; no-op
+    letters write nothing.
     """
-    return _collect(T, _uncrowd_steps(T, word))
+    if any(ch not in "AL" for ch in word):
+        raise ValueError(f"word must be over 'A'/'L', got {word!r}")
+    grid, records, q_entries = _grid(T), [], {}
+    for letter in reversed(word):
+        rec = _step(grid, letter == "A")
+        if rec is not None:
+            records.append(rec)
+            r, c = rec.origin
+            q_entries[rec.created] = alpha(c) if rec.kind == "arm" else beta(r)
+    P = _tableau(grid) if records else T
+    recording = MixedTableau(P.shape, T.shape, q_entries)
+    return UncrowdResult(P, recording, tuple(records))
 
 
 def _canonical_word(T: HookValuedTableau, order: str) -> str:

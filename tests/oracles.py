@@ -3,8 +3,8 @@
 Nothing here shares code paths with the library: classification is a
 literal pair scan, counts come from the hook content formula, and Schur
 polynomials from the bialternant determinant.  The exceptions are
-det_by_permutations, which takes the library's matrix entries and
-polynomial arithmetic but none of its determinant expansion, and the
+det_by_permutations, which expands each matrix entry term by term but
+multiplies them with the library's polynomial arithmetic, and the
 mixed-family enumerators, which filter every product of candidate entries
 with brute_classify but take the library's partitions_between for the
 sorted strict inputs and its shuffle for the second flag of a biflagged
@@ -12,10 +12,14 @@ tableau.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 from types import SimpleNamespace
 
-from hooktab.genfun import _matrix_entry
 from hooktab.polynomials import Monomial, TruncatedPolynomial, x_mono
 from hooktab.shapes import conjugate, partitions_between
 from hooktab.switching import shuffle
@@ -108,11 +112,30 @@ def bialternant(mu, n, cap):
     return total
 
 
+def det_entry(lam, n, i, j, cap):
+    """Entry (i, j) of the closed formula's matrix, term by term: for every
+    subset S of {1..i-1} and multiset M over {1..lam_i}, the monomial
+    x_j^(lam_i + n - i + |S| + |M|) times the betas of S and the alphas of
+    M, each with coefficient 1, while its x-degree is within cap."""
+    lam_i = lam[i - 1] if i <= len(lam) else 0
+    power = lam_i + n - i
+    terms = {}
+    for s in range(i):
+        for S in combinations(range(1, i), s):
+            for m in range(cap - power - s + 1):
+                for M in combinations_with_replacement(range(1, lam_i + 1), m):
+                    x = ((j, power + s + m),)
+                    a = [(k, 1) for k in M]
+                    b = [(k, 1) for k in S]
+                    terms[Monomial(x=x, a=a, b=b)] = 1
+    return TruncatedPolynomial(terms, cap)
+
+
 def det_by_permutations(lam, n, cap):
     """The determinant of the closed formula by its n! permutation expansion
-    over the entries genfun._matrix_entry builds."""
+    over the entries det_entry expands."""
     entries = {
-        (i, j): _matrix_entry(lam, n, i, j, cap)
+        (i, j): det_entry(lam, n, i, j, cap)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     }

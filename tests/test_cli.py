@@ -2,6 +2,7 @@ import io
 import json
 
 import paper_cases as pc
+from hooktab import uncrowding
 from hooktab.cli import run
 
 
@@ -127,6 +128,19 @@ def test_uncrowd_canonical_words():
     code, out, _ = invoke(["uncrowd", "--word", "LAinf", "--trace"], pc.UNCROWD_INPUT)
     assert code == 0
     assert out == invoke(["uncrowd", "--word", "LLAA", "--trace"], pc.UNCROWD_INPUT)[1]
+
+
+def test_uncrowd_canonical_tripwire(monkeypatch):
+    # a canonical word one letter short leaves excess behind: the CLI must
+    # report the library's tripwire, not print a P with arms or legs
+    word = uncrowding._canonical_word
+    monkeypatch.setattr(
+        uncrowding, "_canonical_word", lambda T, order: word(T, order)[:-1]
+    )
+    code, out, err = invoke(["uncrowd", "--word", "LAinf"], pc.UNCROWD_INPUT)
+    assert (code, out) == (3, "")
+    message = "canonical uncrowding left excess in the insertion tableau"
+    assert err == f"internal error: {message}\n"
 
 
 def test_shuffle_and_switch_commands():

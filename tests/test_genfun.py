@@ -8,7 +8,6 @@ import paper_cases as pc
 from oracles import bialternant, det_by_permutations
 from hooktab.enumeration import EnumBounds, enum_hvt
 from hooktab.genfun import (
-    _exact_divide,
     det_formula_check,
     determinant_side,
     extract_weight_counts,
@@ -25,6 +24,7 @@ from hooktab.polynomials import (
     TruncatedPolynomial,
     alpha_mono,
     beta_mono,
+    exact_divide,
     poly_add,
     poly_mul,
     x_mono,
@@ -288,6 +288,6 @@ def test_extract_weight_counts_matches_enumeration():
 
 def test_exact_divide_fails_loudly():
     with pytest.raises(ArithmeticError, match="division is not exact"):
-        _exact_divide(TruncatedPolynomial({x_mono(1): 1}, 3), vandermonde(2, 3), 2)
+        exact_divide(TruncatedPolynomial({x_mono(1): 1}, 3), vandermonde(2, 3))
     with pytest.raises(ArithmeticError, match="divisor must be monic"):
-        _exact_divide(vandermonde(2, 3), vandermonde(2, 3) * 2, 2)
+        exact_divide(vandermonde(2, 3), vandermonde(2, 3) * 2)

@@ -133,8 +133,8 @@ def test_shuffle_tripwire(monkeypatch):
     T = parse_mixed("a1|b1")
     monkeypatch.setattr(
         switching,
-        "_slide_dest",
-        lambda entries, cell: (cell[0], 2 if cell[1] == 1 else 1),
+        "_dest",
+        lambda entries, cell, moves: (cell[0], 2 if cell[1] == 1 else 1),
     )
     _expect_tripwire(lambda: shuffle(T))
 
@@ -144,8 +144,8 @@ def test_gg_jdt_tripwire(monkeypatch):
     T = parse_mixed("a1|b1")
     monkeypatch.setattr(
         switching,
-        "_gg_dest",
-        lambda entries, cell: (cell[0], 2 if cell[1] == 1 else 1),
+        "_dest",
+        lambda entries, cell, moves: (cell[0], 2 if cell[1] == 1 else 1),
     )
     _expect_tripwire(lambda: gg_jdt(T))
 
