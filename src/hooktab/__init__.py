@@ -28,6 +28,7 @@ from .polynomials import (
     CapTooSmall,
     Monomial,
     TruncatedPolynomial,
+    determinant,
     exact_divide,
     poly_add,
     poly_mul,

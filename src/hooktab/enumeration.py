@@ -48,12 +48,21 @@ class EnumBounds(NamedTuple):
     max_excess: int
 
 
+def check_bounds(bounds) -> EnumBounds:
+    """bounds as EnumBounds; raises ValueError if one is negative."""
+    bounds = EnumBounds(*bounds)
+    for name, value in zip(("n", "excess"), bounds):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    return bounds
+
+
 DEFAULT_BOUNDS = EnumBounds(3, 2)
 DEFAULT_LAMBDA_LIMIT = 4
 DEFAULT_OUTER_LIMIT = 6
 
 
-def _hook_cells(hook: int, max_entry: int, budget: int):
+def hook_cells(hook: int, max_entry: int, budget: int):
     """All hooks with the given hook entry, entries <= max_entry and at most
     budget extra (arm plus leg) entries."""
     for extra in range(budget + 1):
@@ -92,7 +101,7 @@ def enum_hvt(lam: Partition, bounds: EnumBounds) -> list[HookValuedTableau]:
         if below is not None:
             hook_min = max(hook_min, below.max_entry + 1)
         for hook in range(hook_min, n + 1):
-            for cell in _hook_cells(hook, n, budget):
+            for cell in hook_cells(hook, n, budget):
                 grid[(r, c)] = cell
                 place(idx + 1, budget - len(cell.arms) - len(cell.legs))
         grid.pop((r, c), None)
@@ -375,10 +384,9 @@ def verify(
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}; known: {CHECK_IDS}")
     check = CHECKS[check_id]
-    bounds = EnumBounds(*bounds)
-    for name, value in zip(("n", "excess", "max_outer"), (*bounds, max_outer)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+    bounds = check_bounds(bounds)
+    if max_outer < 0:
+        raise ValueError(f"max_outer must be nonnegative, got {max_outer}")
     shape = {"lambda": lam, "outer": outer, "inner": inner}
     for name, value in shape.items():
         if value is not None and name not in check.uses:

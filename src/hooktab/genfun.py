@@ -9,17 +9,29 @@ coefficients from the determinant side by graded exact division.
 
 from __future__ import annotations
 
-from .enumeration import EnumBounds, enum_biflagged, enum_exquisite, enum_hvt
+from collections import Counter
+from functools import cache
+
+from .enumeration import (
+    EnumBounds,
+    check_bounds,
+    enum_biflagged,
+    enum_exquisite,
+    hook_cells,
+)
 from .polynomials import (
     CapTooSmall,
     Monomial,
+    Packing,
     TruncatedPolynomial,
+    alpha_mono,
     beta_mono,
+    determinant,
     exact_divide,
     x_mono,
 )
 from .shapes import check_partition, partitions_containing
-from .tableaux import weight_hvt, weight_mixed
+from .tableaux import weight_mixed
 
 
 def schur_poly(mu, n: int, cap: int) -> TruncatedPolynomial:
@@ -29,21 +41,48 @@ def schur_poly(mu, n: int, cap: int) -> TruncatedPolynomial:
 
 
 def hvt_genfun(lam, bounds: EnumBounds, cap: int) -> TruncatedPolynomial:
-    """Weight sum over hook-valued tableaux of shape lam within bounds."""
+    """Weight sum over hook-valued tableaux of shape lam within bounds.
+
+    A transfer sum over the cells in row order, listing no tableaux.  As in
+    enum_hvt, a hook entry is at least the largest entry of the left cell
+    and above that of the lower cell.  A state is the largest entry of the
+    latest cell in each column a later cell can lie on, with the excess
+    left; it maps each weight, a Packing key, to its number of fillings."""
     lam = check_partition(lam)
-    if cap < sum(lam) + bounds.max_excess:
-        raise CapTooSmall(
-            f"cap {cap} cannot hold degree {sum(lam) + bounds.max_excess}"
-        )
-    return _weight_sum(enum_hvt(lam, bounds), weight_hvt, cap)
+    n, emax = check_bounds(bounds)
+    if cap < sum(lam) + emax:
+        raise CapTooSmall(f"cap {cap} cannot hold degree {sum(lam) + emax}")
+    pack = Packing(n, lam[0] if lam else 0, len(lam), sum(lam) + emax, cap)
+    xs = [pack.key(x_mono(v)) for v in range(1, n + 1)]
 
+    @cache
+    def cells(low: int, budget: int) -> list:
+        """(largest entry, arms, legs, x key) per cell of hook entry >= low."""
+        out = []
+        for hook in range(low, n + 1):
+            for cell in hook_cells(hook, n, budget):
+                x_key = sum(xs[v - 1] for v in cell.entries())
+                out.append((cell.max_entry, len(cell.arms), len(cell.legs), x_key))
+        return out
 
-def _weight_sum(tableaux, weight, cap: int) -> TruncatedPolynomial:
-    terms: dict[Monomial, int] = {}
-    for T in tableaux:
-        m = weight(T)
-        terms[m] = terms.get(m, 0) + 1
-    return TruncatedPolynomial(terms, cap)
+    states = {((0,) * (lam[0] if lam else 0), emax): {0: 1}}
+    for r, width in enumerate(lam):
+        b_key = pack.key(beta_mono(r + 1))
+        # columns the next row lacks constrain no cell after this row
+        below = lam[r + 1] if r + 1 < len(lam) else 0
+        for c in range(width):
+            a_key = pack.key(alpha_mono(c + 1))
+            cut = below if c == width - 1 else None
+            nxt: dict[tuple, dict[int, int]] = {}
+            for (front, budget), weights in states.items():
+                low = max(front[c - 1] if c else 0, front[c] + 1)
+                head, tail = front[:c], front[c + 1 :]
+                for top, arms, legs, x_key in cells(low, budget):
+                    state = ((head + (top,) + tail)[:cut], budget - arms - legs)
+                    step = [(x_key + arms * a_key + legs * b_key, 1)]
+                    pack.add_product(nxt.setdefault(state, {}), weights.items(), step)
+            states = nxt
+    return pack.polynomial(sum(map(Counter, states.values()), Counter()))
 
 
 def schur_expansion_genfun(
@@ -54,28 +93,23 @@ def schur_expansion_genfun(
     lam = check_partition(lam)
     if model not in ("EXQ", "BFT"):
         raise ValueError(f"model must be 'EXQ' or 'BFT', got {model!r}")
-    n, emax = bounds
+    n, emax = check_bounds(bounds)
     total = TruncatedPolynomial.zero(cap)
     for mu in partitions_containing(lam, emax):
         if len(mu) > n:
             continue
         enum = enum_exquisite if model == "EXQ" else enum_biflagged
-        coeff = _weight_sum(enum(mu, lam), weight_mixed, cap)
+        coeff = TruncatedPolynomial(Counter(map(weight_mixed, enum(mu, lam))), cap)
         if coeff:
             total = total + schur_poly(mu, n, cap) * coeff
     return total
 
 
 def vandermonde(n: int, cap: int) -> TruncatedPolynomial:
-    """The product of (x_i - x_j) over 1 <= i < j <= n."""
-    out = TruncatedPolynomial.const(1, cap)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factor = TruncatedPolynomial(
-                {x_mono(i): 1, x_mono(j): -1}, cap
-            )
-            out = out * factor
-    return out
+    """The product of (x_i - x_j) over 1 <= i < j <= n, as det(x_j^(n-i))."""
+    rows = range(1, n + 1)
+    xs = [[{x_mono(j, n - i): 1} for j in rows] for i in rows]
+    return determinant([[TruncatedPolynomial(x, cap) for x in row] for row in xs], cap)
 
 
 def _geometric(alpha_index: int, x_index: int, cap: int) -> TruncatedPolynomial:
@@ -104,31 +138,11 @@ def _matrix_entry(lam, n, i, j, cap) -> TruncatedPolynomial:
 
 
 def determinant_side(lam, n: int, cap: int) -> TruncatedPolynomial:
-    """The determinant in the closed formula, expanded by minors on rows.
-
-    D(S), the minor on rows 1..|S| and the column set S, is the sum over j
-    in S of (-1)^#{s in S : s > j} * D(S - {j}) * entry(|S|, j); each
-    minor is built once from those of the row before, so the expansion
-    takes n * 2^(n-1) products instead of the n * n! of the permutations.
-    """
+    """The determinant in the closed formula."""
     lam = check_partition(lam)
-    # minors on the rows so far, keyed by their column set as a bit mask
-    minors = {0: TruncatedPolynomial.const(1, cap)}
-    for i in range(1, n + 1):
-        row = [_matrix_entry(lam, n, i, j, cap) for j in range(1, n + 1)]
-        bigger = {}
-        for cols, minor in minors.items():
-            for j, entry in enumerate(row):
-                if cols >> j & 1:
-                    continue
-                term = minor * entry
-                # the columns of cols right of j, j itself not in cols
-                if (cols >> j).bit_count() % 2:
-                    term = -term
-                key = cols | 1 << j
-                bigger[key] = bigger[key] + term if key in bigger else term
-        minors = bigger
-    return minors[(1 << n) - 1]
+    rows = range(1, n + 1)
+    entries = [[_matrix_entry(lam, n, i, j, cap) for j in rows] for i in rows]
+    return determinant(entries, cap)
 
 
 def det_formula_check(lam, n: int, cap: int):

@@ -3,8 +3,8 @@
 Coefficients are Python ints, so they are exact at any magnitude.  A
 TruncatedPolynomial drops every monomial whose total degree in the x
 variables exceeds its cap; addition and multiplication are only defined
-between polynomials with equal caps.  exact_divide divides by a
-polynomial monic in lex order, on the same exponent keys as the product.
+between polynomials with equal caps.  Products, determinant and
+exact_divide run on Packing keys, one int per monomial.
 
 A monomial stores each of its three variable groups as an exponent vector:
 position i - 1 holds the exponent of index i, and the vector has no
@@ -14,9 +14,7 @@ them entrywise.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import islice
-from operator import add, sub
+from operator import add
 from typing import Mapping
 
 
@@ -171,27 +169,70 @@ def beta_mono(i: int, e: int = 1) -> Monomial:
     return Monomial(b=((i, e),))
 
 
-def _layout(monomials) -> tuple[int, int, int]:
-    """Widths (nx, na, nb) that hold every exponent vector of monomials."""
-    return (
-        max([len(m.xv) for m in monomials], default=0),
-        max([len(m.av) for m in monomials], default=0),
-        max([len(m.bv) for m in monomials], default=0),
-    )
+class Packing:
+    """Monomials as ints, for arithmetic on many terms under the x-degree cap.
+
+    A key has the fields x-degree | x_1..x_nx | a_1..a_na | b_1..b_nb, most
+    significant first, each below the x-degree whole bytes wide and holding
+    the exponent top.  Keys add as their monomials multiply while no field
+    passes top, and order by x-degree, then lex, so that the keys of
+    x-degree at most cap are those below limit."""
+
+    __slots__ = ("nx", "na", "nb", "cap", "bits", "low", "limit")
+
+    def __init__(self, nx: int, na: int, nb: int, top: int, cap: int):
+        self.nx, self.na, self.nb, self.cap = nx, na, nb, cap
+        self.bits = -(-top.bit_length() // 8) * 8 or 8
+        self.low = self.bits * (nx + na + nb)
+        self.limit = cap + 1 << self.low
+
+    def key(self, m: Monomial) -> int:
+        xv, av, bv = m.xv, m.av, m.bv
+        flat = xv + (0,) * (self.nx - len(xv)) + av + (0,) * (self.na - len(av))
+        flat += bv + (0,) * (self.nb - len(bv))
+        if self.bits > 8:
+            flat = b"".join(e.to_bytes(self.bits // 8, "big") for e in flat)
+        return m.x_degree << self.low | int.from_bytes(bytes(flat), "big")
+
+    def packed(self, p: "TruncatedPolynomial") -> list[tuple[int, int]]:
+        """The (key, coefficient) pairs of p in key order."""
+        return sorted((self.key(m), c) for m, c in p.terms.items())
+
+    def add_product(self, acc: dict[int, int], left, right, sign: int = 1) -> None:
+        """Add sign * left * right, up to x-degree cap, to acc; left and
+        right are (key, coefficient) pairs, right in key order."""
+        get, limit = acc.get, self.limit
+        for k1, c1 in left:
+            c1 *= sign
+            for k2, c2 in right:
+                k = k1 + k2
+                if k >= limit:
+                    break
+                acc[k] = get(k, 0) + c1 * c2
+
+    def polynomial(self, counts: Mapping[int, int]) -> "TruncatedPolynomial":
+        """The polynomial with coefficient c at the monomial of each key k
+        of counts; no key may pass limit."""
+        nx, ny, size, terms = self.nx, self.nx + self.na, self.bits // 8, {}
+        for k, c in counts.items():
+            if c:
+                raw = (k & (1 << self.low) - 1).to_bytes(self.low // 8, "big")
+                flat = tuple(raw) if size == 1 else tuple(
+                    int.from_bytes(raw[i : i + size], "big")
+                    for i in range(0, len(raw), size)
+                )
+                m = _monomial(_trim(flat[:nx]), _trim(flat[nx:ny]), _trim(flat[ny:]))
+                terms[m] = c
+        return _poly(terms, self.cap)
 
 
-def _flat_key(m: Monomial, nx: int, na: int, nb: int) -> tuple[int, ...]:
-    """The exponents of m in one tuple laid out x | a | b, each group padded
-    to its width; keys of one layout add entrywise and compare in lex order."""
-    xv, av, bv = m.xv, m.av, m.bv
-    return (
-        xv + (0,) * (nx - len(xv)) + av + (0,) * (na - len(av)) + bv + (0,) * (nb - len(bv))
-    )
-
-
-def _from_flat_key(k: tuple[int, ...], nx: int, na: int) -> Monomial:
-    """The Monomial whose _flat_key with widths nx, na is k."""
-    return _monomial(_trim(k[:nx]), _trim(k[nx : nx + na]), _trim(k[nx + na :]))
+def _packing(groups, cap: int) -> Packing:
+    """The packing of every product of one monomial from each group."""
+    groups = [[(m.xv, m.av, m.bv) for m in g] for g in groups]
+    every = [vs for g in groups for vs in g]
+    widths = [max([len(vs[i]) for vs in every], default=0) for i in range(3)]
+    top = sum(max([e for vs in g for v in vs for e in v], default=0) for g in groups)
+    return Packing(*widths, top, cap)
 
 
 def _poly(terms: dict[Monomial, int], cap: int) -> "TruncatedPolynomial":
@@ -254,24 +295,10 @@ class TruncatedPolynomial:
             terms = {m: c * other for m, c in self.terms.items()} if other else {}
             return _poly(terms, self.cap)
         self._check_cap(other)
-        cap = self.cap
-        nx, na, nb = _layout([*self.terms, *other.terms])
-        # the right operand in x-degree order, so each left term stops at
-        # the first partner that would pass the cap
-        right = sorted(
-            (m.x_degree, _flat_key(m, nx, na, nb), c) for m, c in other.terms.items()
-        )
-        degrees = [d for d, _, _ in right]
-        right = [(k, c) for _, k, c in right]
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for m1, c1 in self.terms.items():
-            k1 = _flat_key(m1, nx, na, nb)
-            for k2, c2 in islice(right, bisect_right(degrees, cap - m1.x_degree)):
-                k = tuple(map(add, k1, k2))
-                acc[k] = get(k, 0) + c1 * c2
-        terms = {_from_flat_key(k, nx, na): c for k, c in acc.items() if c}
-        return _poly(terms, cap)
+        pack = _packing([self.terms, other.terms], self.cap)
+        acc: dict[int, int] = {}
+        pack.add_product(acc, pack.packed(self), pack.packed(other))
+        return pack.polynomial(acc)
 
     __rmul__ = __mul__
 
@@ -315,33 +342,64 @@ def poly_mul(a: TruncatedPolynomial, b: TruncatedPolynomial) -> TruncatedPolynom
     return a * b
 
 
+def determinant(rows, cap: int) -> TruncatedPolynomial:
+    """The determinant of a square matrix of polynomials of cap cap (1 for
+    no rows), expanded by minors on rows.
+
+    D(S), the minor on rows 1..|S| and the column set S, is the sum over j
+    in S of (-1)^#{s in S : s > j} * D(S - {j}) * entry(|S|, j); each
+    minor is built once from those of the row before, so the expansion
+    takes n * 2^(n-1) products instead of the n * n! of the permutations."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("the matrix must be square")
+    if any(p.cap != cap for row in rows for p in row):
+        raise CapMismatch(f"an entry's cap differs from {cap}")
+    pack = _packing(([m for p in row for m in p.terms] for row in rows), cap)
+    # minors on the rows so far, keyed by their column set as a bit mask
+    minors = {0: {0: 1}}
+    for row in rows:
+        entries = [pack.packed(p) for p in row]
+        bigger: dict[int, dict[int, int]] = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(entries):
+                if not cols >> j & 1:
+                    # the columns of cols right of j set the sign
+                    sign = -1 if (cols >> j).bit_count() % 2 else 1
+                    acc = bigger.setdefault(cols | 1 << j, {})
+                    pack.add_product(acc, minor.items(), entry, sign)
+        minors = bigger
+    return pack.polynomial(minors[(1 << n) - 1])
+
+
 def exact_divide(
     p: TruncatedPolynomial, v: TruncatedPolynomial
 ) -> dict[Monomial, int]:
-    """The terms of p / v for v monic in lex order; raises ArithmeticError
-    if v is not monic or the division is not exact.
+    """The terms of p / v for v monic in Packing key order; raises
+    ArithmeticError if v is not monic or the division is not exact.
 
-    Every monomial is handled as its exponent key, so each key is built
-    once and the leading term is the largest key of the remainder."""
-    nx, na, nb = _layout([*p.terms, *v.terms])
-    divisor = [(_flat_key(m, nx, na, nb), c) for m, c in v.terms.items()]
-    v_lead, v_coeff = max(divisor)
+    Fields hold twice the exponents of p * v, which an exact division never
+    passes: a leading term with a field's top bit set, or whose subtraction
+    clears one, proves it inexact, and no other key sum can carry."""
+    pack = _packing([p.terms, v.terms] * 2, p.cap)
+    free = sum(1 << pack.bits * i - 1 for i in range(1, pack.low // pack.bits + 1))
+    divisor = pack.packed(v)
+    v_lead, v_coeff = divisor[-1]
     if v_coeff != 1:
-        raise ArithmeticError("divisor must be monic in lex order")
-    quotient: dict[Monomial, int] = {}
-    rem = {_flat_key(m, nx, na, nb): c for m, c in p.terms.items()}
+        raise ArithmeticError("divisor must be monic in key order")
+    quotient: dict[int, int] = {}
+    rem = dict(pack.packed(p))
     while rem:
         lead = max(rem)
-        t = tuple(map(sub, lead, v_lead))
-        if min(t) < 0:
+        t = lead - v_lead
+        if lead & free or (lead | free) - v_lead & free != free:
             raise ArithmeticError("division is not exact")
-        coeff = rem[lead]
-        quotient[_from_flat_key(t, nx, na)] = coeff
+        coeff = quotient[t] = rem[lead]
         for vk, vc in divisor:
-            k = tuple(map(add, t, vk))
+            k = t + vk
             c = rem.get(k, 0) - coeff * vc
             if c:
                 rem[k] = c
             else:
                 del rem[k]
-    return quotient
+    return pack.polynomial(quotient).terms

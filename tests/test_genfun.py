@@ -24,6 +24,7 @@ from hooktab.polynomials import (
     TruncatedPolynomial,
     alpha_mono,
     beta_mono,
+    determinant,
     exact_divide,
     poly_add,
     poly_mul,
@@ -113,15 +114,53 @@ def test_products_match_public_constructor(x1, a1, b1, x2, a2, b2, p, q):
     built = Monomial(x=_summed(x1, x2), a=_summed(a1, a2), b=_summed(b1, b2))
     assert m == built and hash(m) == hash(built)
     assert str(m) == str(built) and m.sort_key() == built.sort_key()
-    # the product term by term, every monomial through the public constructor
+    expected = _term_product(p, q)
+    assert (p * q).serialize() == expected.serialize()
+    assert p * q == expected
+
+
+def _term_product(p, q):
+    """p * q term by term, every monomial through the public constructor."""
     terms = Counter()
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             x, a, b = map(_summed, _groups(m1), _groups(m2))
             terms[Monomial(x=x, a=a, b=b)] += c1 * c2
-    expected = TruncatedPolynomial(terms, 4)
-    assert (p * q).serialize() == expected.serialize()
-    assert p * q == expected
+    return TruncatedPolynomial(terms, p.cap)
+
+
+def test_packed_products_beyond_one_byte_fields():
+    big = P({Monomial(x={1: 200}, a={1: 300}): 1, Monomial(x={2: 1}, b={3: 255}): -2}, 400)
+    far = P({Monomial(b={MAX_INDEX: 1}): 1, x_mono(1): 2}, 2)
+    # 128 + 128 passes one byte: at the width of either operand it would carry
+    edge = P({Monomial(x={1: 128}, a={2: 127}): 1, x_mono(2): 1}, 400)
+    for p, q in ((big, big), (far, far * far), (edge, edge), (edge, big.x_graded_piece(1))):
+        got, expected = p * q, _term_product(p, q)
+        assert got.serialize() == expected.serialize() and got == expected
+    assert Monomial(x={1: 400}, a={1: 600}) in (big * big).terms
+    assert Monomial(b={MAX_INDEX: 3}) in (far * far * far).terms
+    assert exact_divide(big * vandermonde(2, 400), vandermonde(2, 400)) == big.terms
+
+
+def test_determinant_small_matrices():
+    cap = 401
+    a = P({Monomial(x={1: 200}, a={1: 300}): 1, x_mono(2): 3}, cap)
+    b = P({Monomial(b={MAX_INDEX: 1}): -1, x_mono(1, 2): 1}, cap)
+    c = P({Monomial(x={2: 400}): 2, Monomial(): 1}, cap)
+    d = P({Monomial(x={1: 200}, a={2: 255}): 1}, cap)
+    assert determinant([], cap) == TruncatedPolynomial.const(1, cap)
+    assert determinant([[a]], cap).serialize() == a.serialize()
+    two = determinant([[a, b], [c, d]], cap)
+    expected = _term_product(a, d) - _term_product(b, c)
+    assert two.serialize() == expected.serialize() and two == expected
+    # the x-degree 400 product of a and d is within the cap, b * c's 402 not
+    assert Monomial(x={1: 400}, a={1: 300, 2: 255}) in two.terms
+    assert Monomial(x={1: 2, 2: 400}) not in two.terms
+    assert Monomial(x={2: 400}, b={MAX_INDEX: 1}) in two.terms
+    with pytest.raises(ValueError, match="square"):
+        determinant([[a, b]], cap)
+    with pytest.raises(CapMismatch):
+        determinant([[P({}, 2)]], cap)
 
 
 def test_schur_trivial_cases():
@@ -169,6 +208,28 @@ def test_hvt_genfun_single_cell_pinned():
         3,
     )
     assert got == expected
+
+
+def test_hvt_genfun_matches_enumeration():
+    # lambda longer than n at n = 1, the empty lambda, and excess 0 as schur_poly
+    for n, excess in ((1, 2), (2, 3), (3, 2), (4, 2), (4, 3), (5, 1)):
+        bounds = EnumBounds(n, excess)
+        for lam in partitions_up_to(4):
+            cap = sum(lam) + excess
+            counts = Counter(weight_hvt(T) for T in enum_hvt(lam, bounds))
+            assert hvt_genfun(lam, bounds, cap) == TruncatedPolynomial(counts, cap)
+            ssyt = Counter(weight_hvt(T) for T in enum_hvt(lam, EnumBounds(n, 0)))
+            assert schur_poly(lam, n, cap) == TruncatedPolynomial(ssyt, cap)
+
+
+def test_genfuns_refuse_negative_bounds():
+    for bounds, name, value in ((EnumBounds(2, -1), "excess", -1), ((-2, 1), "n", -2)):
+        message = f"^{name} must be nonnegative, got {value}$"
+        for lam in ((), (1,)):
+            with pytest.raises(ValueError, match=message):
+                hvt_genfun(lam, bounds, 3)
+            with pytest.raises(ValueError, match=message):
+                schur_expansion_genfun(lam, bounds, 3)
 
 
 def test_hvt_genfun_trivials():
@@ -286,8 +347,18 @@ def test_extract_weight_counts_matches_enumeration():
         assert sum(pruned.values()) == len(enum_hvt(lam, EnumBounds(n, excess)))
 
 
+def test_exact_divide_of_constants():
+    one, three = TruncatedPolynomial.const(1, 0), TruncatedPolynomial.const(3, 0)
+    assert exact_divide(three, one) == {Monomial(): 3}
+    assert extract_weight_counts((), 1, 0) == {Monomial(): 1}
+
+
 def test_exact_divide_fails_loudly():
     with pytest.raises(ArithmeticError, match="division is not exact"):
         exact_divide(TruncatedPolynomial({x_mono(1): 1}, 3), vandermonde(2, 3))
     with pytest.raises(ArithmeticError, match="divisor must be monic"):
         exact_divide(vandermonde(2, 3), vandermonde(2, 3) * 2)
+    # each step leaves a remainder with a larger power of a1, past any field
+    v = P({x_mono(1): 1, x_mono(2) * alpha_mono(1, 3): 1}, 90)
+    with pytest.raises(ArithmeticError, match="division is not exact"):
+        exact_divide(P({x_mono(1, 90): 1}, 90), v)
