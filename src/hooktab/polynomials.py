@@ -14,6 +14,7 @@ them entrywise.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Mapping
 
@@ -34,7 +35,18 @@ class CapTooSmall(ValueError):
 def _norm(group) -> tuple[int, ...]:
     """The exponent vector of an index -> exponent mapping or of (index,
     exponent) pairs; powers of a repeated index add up."""
-    pairs = group.items() if hasattr(group, "items") else group
+    pairs = list(group.items() if hasattr(group, "items") else group)
+    top = 0
+    for idx, exp in pairs:
+        if not (0 < idx <= MAX_INDEX and exp >= 0):
+            break  # summed and checked below
+        if idx > top:
+            top = idx
+    else:
+        vec = [0] * top
+        for idx, exp in pairs:
+            vec[idx - 1] += exp
+        return _trim(tuple(vec))
     acc: dict[int, int] = {}
     for idx, exp in pairs:
         if exp:
@@ -44,12 +56,7 @@ def _norm(group) -> tuple[int, ...]:
             raise ValueError(f"bad variable power ({idx}, {exp})")
         if idx > MAX_INDEX:
             raise ValueError(f"variable index {idx} above the limit {MAX_INDEX}")
-    if not acc:
-        return ()
-    vec = [0] * max(acc)
-    for idx, exp in acc.items():
-        vec[idx - 1] = exp
-    return _trim(tuple(vec))
+    return _norm(acc)
 
 
 def _trim(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -389,8 +396,14 @@ def exact_divide(
         raise ArithmeticError("divisor must be monic in key order")
     quotient: dict[int, int] = {}
     rem = dict(pack.packed(p))
+    # the keys of rem, negated, plus keys cancelled since they were pushed;
+    # every key a step adds is below its lead, so the heap's top is the lead
+    heap = [-k for k in rem]
+    heapify(heap)
     while rem:
-        lead = max(rem)
+        lead = -heappop(heap)
+        if lead not in rem:
+            continue
         t = lead - v_lead
         if lead & free or (lead | free) - v_lead & free != free:
             raise ArithmeticError("division is not exact")
@@ -399,6 +412,8 @@ def exact_divide(
             k = t + vk
             c = rem.get(k, 0) - coeff * vc
             if c:
+                if k not in rem:
+                    heappush(heap, -k)
                 rem[k] = c
             else:
                 del rem[k]

@@ -191,13 +191,14 @@ def weight_hvt(T: HookValuedTableau) -> Monomial:
     a: dict[int, int] = {}
     b: dict[int, int] = {}
     x: dict[int, int] = {}
-    for (r, c), cell in T.cells():
-        if cell.arms:
-            a[c] = a.get(c, 0) + len(cell.arms)
-        if cell.legs:
-            b[r] = b.get(r, 0) + len(cell.legs)
-        for v in cell.entries():
-            x[v] = x.get(v, 0) + 1
+    for r, row in enumerate(T.rows, 1):
+        for c, cell in enumerate(row, 1):
+            if cell.arms:
+                a[c] = a.get(c, 0) + len(cell.arms)
+            if cell.legs:
+                b[r] = b.get(r, 0) + len(cell.legs)
+            for v in (cell.hook, *cell.arms, *cell.legs):
+                x[v] = x.get(v, 0) + 1
     return Monomial(x=x, a=a, b=b)
 
 

@@ -10,7 +10,11 @@ tableau on the new cells.
 
 A word runs on one grid of mutable cells.  Inputs must be valid, and a bump
 then checks only the two cells it rewrote, against their hook shape and four
-neighbours: every condition names one cell or two adjacent ones.
+neighbours: every condition names one cell or two adjacent ones.  Only a
+step's first bump searches for its line; the later ones move the bumped
+value on from where it landed.  The insertion and recording tableaux are
+built once, at the end of the word, the recording behind a tripwire that
+its created cells fill the grown shape.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ def _grid(T: HookValuedTableau) -> list:
 
 
 def _tableau(grid) -> HookValuedTableau:
-    return HookValuedTableau([HookCell(*x) for x in row] for row in grid)
+    T = object.__new__(HookValuedTableau)  # __init__ would tuple the rows again
+    T.rows = tuple([tuple([HookCell(*x) for x in row]) for row in grid])
+    return T
 
 
 def _top(x) -> int:  # the largest entry of a cell with a valid hook shape
@@ -59,58 +65,79 @@ def _broken(grid, r: int, c: int) -> bool:
     """Whether cell (r, c) breaks the hook shape, or a row or column condition
     with one of its four neighbours (taken to have valid hook shapes)."""
     row = grid[r - 1]
-    h, arms, legs = x = row[c - 1]
+    h, arms, legs = row[c - 1]
+    top = h
+    for a in arms:
+        if top > a:
+            return True
+        top = a
+    last = h
+    for b in legs:
+        if last >= b:
+            return True
+        last = b
+    top = max(top, last)
     return (
-        (arms and any(a > b for a, b in zip((h,) + arms, arms)))
-        or (legs and any(a >= b for a, b in zip((h,) + legs, legs)))
-        or (c > 1 and _top(row[c - 2]) > h)
-        or (c < len(row) and _top(x) > row[c][0])
+        (c > 1 and _top(row[c - 2]) > h)
+        or (c < len(row) and top > row[c][0])
         or (r > 1 and _top(grid[r - 2][c - 1]) >= h)
-        or (r < len(grid) and c <= len(grid[r]) and _top(x) >= grid[r][c - 1][0])
+        or (r < len(grid) and c <= len(grid[r]) and top >= grid[r][c - 1][0])
     )
 
 
-def _bump(grid, arm: bool) -> Optional[BumpRecord]:
-    """One arm (arm=True) or leg bump of the grid, in place; None when there
-    is nothing to bump.  Written once in (line, pos) coordinates: an arm moves
-    from column line to line + 1 at row pos, a leg from row line to line + 1
-    at column pos.  x[own] is the list of cell x that bumps (arms or legs),
-    x[other] the list that may follow it."""
-    kind, own, other = ("arm", 1, 2) if arm else ("leg", 2, 1)
+def _line(grid, arm: bool, line: int) -> list:
+    """The cells of column line (arm) or row line (leg), from pos 1 up."""
+    if arm:
+        return [row[line - 1] for row in grid if len(row) >= line]
+    return grid[line - 1]
 
-    def place(L, p):
-        return (p, L) if arm else (L, p)
 
-    def cells(L):  # the cells of line L, from pos 1 up
-        return [row[L - 1] for row in grid if len(row) >= L] if arm else grid[L - 1]
-
+def _find(grid, arm: bool) -> Optional[tuple[int, int]]:
+    """(line, pos) of the cell holding the largest own entry of the last line
+    with own entries (arms: the rightmost column, legs: the topmost row);
+    None when no cell has any."""
+    kind, own = ("arm", 1) if arm else ("leg", 2)
     line = len(grid[0]) if arm and grid else len(grid)
-    while line and not any(x[own] for x in cells(line)):
+    while line:
+        tops = [x[own][-1] if x[own] else 0 for x in _line(grid, arm, line)]
+        v = max(tops, default=0)
+        if v:
+            if tops.count(v) != 1:
+                raise InternalError(f"largest {kind} entry of a line must sit in one cell")
+            return line, tops.index(v) + 1
         line -= 1
-    if not line:
-        return None
-    xs = cells(line)
-    v = max(x[own][-1] for x in xs if x[own])
-    holders = [p for p, x in enumerate(xs, 1) if x[own] and x[own][-1] == v]
-    if len(holders) != 1:
-        raise InternalError(f"largest {kind} entry of a line must sit in one cell")
-    pos = holders[0]
-    src = xs[pos - 1]
+    return None
+
+
+def _move(grid, arm: bool, line: int, pos: int) -> tuple[BumpRecord, int]:
+    """Move the largest own entry of the cell at pos of line to line + 1, in
+    place; its record and the pos it landed at.  Written once in (line, pos)
+    coordinates: an arm moves from column line to line + 1 at row pos, a leg
+    from row line to line + 1 at column pos.  x[own] is the list of cell x
+    that bumps (arms or legs), x[other] the list that may follow it."""
+    kind, own, other = ("arm", 1, 2) if arm else ("leg", 2, 1)
+    origin = (pos, line) if arm else (line, pos)
     if not arm and line == len(grid):
         grid.append([])  # the row above the top one, for the new cell
-
+    src = grid[origin[0] - 1][origin[1] - 1]
+    v = src[own][-1]
     # an arm takes the smallest entry >= v and carries the origin's legs > v;
     # a leg takes the smallest entry > v and carries the origin's arms >= v
     lo, carried = (v, v + 1) if arm else (v + 1, v)
-    nxt = cells(line + 1)
-    fits = [(w, p) for p, x in enumerate(nxt, 1) for w in (x[0], *x[1], *x[2]) if w >= lo]
-    k, at = min(fits, default=(None, None))  # the first on ties
+    # entries grow along the line, so the first cell whose top reaches lo
+    # holds the smallest entry >= lo, the first on ties
+    nxt = _line(grid, arm, line + 1)
+    k, at = None, len(nxt) + 1
+    for p, x in enumerate(nxt, 1):
+        if _top(x) >= lo:
+            k, at = min(w for w in (x[0], *x[1], *x[2]) if w >= lo), p
+            break
+    target = (at, line + 1) if arm else (line + 1, at)
     if k is None:
-        at = len(nxt) + 1
         if at > pos:  # at <= pos keeps the shape a partition
-            raise InternalError(f"a new cell at {place(line + 1, at)} breaks the shape")
+            raise InternalError(f"a new cell at {target} breaks the shape")
         dst = [v, (), ()]
-        grid[place(line + 1, at)[0] - 1].append(dst)
+        grid[target[0] - 1].append(dst)
     else:
         dst = nxt[at - 1]
         if dst[own]:
@@ -123,28 +150,37 @@ def _bump(grid, arm: bool) -> Optional[BumpRecord]:
         moved = tuple(x for x in src[other] if x >= carried)
         dst[other] = tuple(sorted(dst[other] + moved))
         src[other] = tuple(x for x in src[other] if x < carried)
-    origin, target = place(line, pos), place(line + 1, at)
     if _broken(grid, *origin) or _broken(grid, *target):
         bad = hvt_violations(_tableau(grid))
         raise InternalError(f"bump produced an invalid tableau: {bad}")
-    return BumpRecord(kind, origin, target if k is None else None, v)
+    return BumpRecord(kind, origin, target if k is None else None, v), at
+
+
+def _bump(grid, arm: bool) -> Optional[BumpRecord]:
+    """One arm (arm=True) or leg bump of the grid, in place; None when there
+    is nothing to bump."""
+    found = _find(grid, arm)
+    return None if found is None else _move(grid, arm, *found)[0]
 
 
 def _step(grid, arm: bool) -> Optional[BumpRecord]:
-    """Bump until the shape grows; None when nothing moves.  A bump that does
-    not grow the shape moves the bumped value from line L to L + 1, so a step
-    needs at most as many bumps as there are lines, never more than cells."""
-    budget = sum(map(len, grid))
-    first = rec = _bump(grid, arm)
-    while rec is not None and rec.created is None and budget:
-        rec, budget = _bump(grid, arm), budget - 1
-    if first is None:
+    """Bump until the shape grows; None when nothing moves.  Only the first
+    bump searches: one that does not grow the shape leaves the bumped value
+    the only own entry of line + 1, now the last line with any, and the next
+    bump moves it on from where it landed.  So a step needs at most as many
+    bumps as there are lines, never more than cells."""
+    found = _find(grid, arm)
+    if found is None:
         return None
-    if rec is None:
-        raise InternalError("bumping died before the shape grew")
-    if rec.created is None:
-        raise InternalError("an uncrowding step exceeded its bump budget")
-    return first._replace(created=rec.created)
+    line, pos = found
+    first, pos = _move(grid, arm, line, pos)
+    rec, budget = first, sum(map(len, grid))
+    while rec.created is None:
+        if not budget:
+            raise InternalError("an uncrowding step exceeded its bump budget")
+        line, budget = line + 1, budget - 1
+        rec, pos = _move(grid, arm, line, pos)
+    return BumpRecord(first.kind, first.origin, rec.created, first.moved_entry)
 
 
 def _apply(T: HookValuedTableau, routine, arm: bool):
@@ -193,7 +229,7 @@ def uncrowd(T: HookValuedTableau, word: str) -> UncrowdResult:
     the recording tableau, each effective L step writes beta_r; no-op
     letters write nothing.
     """
-    if any(ch not in "AL" for ch in word):
+    if word.strip("AL"):
         raise ValueError(f"word must be over 'A'/'L', got {word!r}")
     grid, records, q_entries = _grid(T), [], {}
     for letter in reversed(word):
@@ -203,13 +239,21 @@ def uncrowd(T: HookValuedTableau, word: str) -> UncrowdResult:
             r, c = rec.origin
             q_entries[rec.created] = alpha(c) if rec.kind == "arm" else beta(r)
     P = _tableau(grid) if records else T
-    recording = MixedTableau(P.shape, T.shape, q_entries)
+    # created cells are new cells of a partition grid: they fill P / T when
+    # there are as many as the cells it gained, so Q skips MixedTableau()
+    if len(q_entries) != sum(map(len, grid)) - T.num_cells:
+        raise InternalError("the created cells do not fill the grown shape")
+    recording = object.__new__(MixedTableau)
+    recording.outer, recording.inner, recording.entries = P.shape, T.shape, q_entries
     return UncrowdResult(P, recording, tuple(records))
 
 
 def _canonical_word(T: HookValuedTableau, order: str) -> str:
     """The word of the canonical order "LA" (L^inf A^inf) or "AL"."""
-    a, l = T.arm_excess, T.leg_excess
+    a = l = 0
+    for row in T.rows:
+        for x in row:
+            a, l = a + len(x.arms), l + len(x.legs)
     if order == "LA":
         return "L" * l + "A" * a
     if order == "AL":

@@ -51,6 +51,29 @@ def test_monomial_basics():
         Monomial(b={MAX_INDEX + 1: 1})
 
 
+def test_monomial_reports_the_first_bad_power():
+    with pytest.raises(ValueError, match=r"^bad variable power \(0, 1\)$"):
+        Monomial(x={0: 1})
+    with pytest.raises(ValueError, match=r"^bad variable power \(2, -1\)$"):
+        Monomial(a={1: 1, 2: -1})
+    with pytest.raises(ValueError, match=f"^variable index {MAX_INDEX + 1} above the limit"):
+        Monomial(b={MAX_INDEX + 1: 1})
+    # powers of a repeated index add up before they are checked
+    assert Monomial(x=((1, 2), (3, 1), (1, -2))) == Monomial(x={3: 1})
+    assert Monomial(x=((2, -1), (2, 1)), a={0: 0}) == Monomial()
+    with pytest.raises(ValueError, match=r"^bad variable power \(2, -2\)$"):
+        Monomial(x=((2, -3), (2, 1)))
+    # of two bad powers, the first is reported
+    with pytest.raises(ValueError, match=r"^bad variable power \(0, 1\)$"):
+        Monomial(x=((0, 1), (MAX_INDEX + 1, 1)))
+    with pytest.raises(ValueError, match="above the limit"):
+        Monomial(x=((MAX_INDEX + 1, 1), (0, 1)))
+    with pytest.raises(ValueError, match=r"^bad variable power \(3, -1\)$"):
+        Monomial(b={3: -1, -1: 2})
+    with pytest.raises(ValueError, match=r"^bad variable power \(-1, 2\)$"):
+        Monomial(b={-1: 2, 3: -1})
+
+
 def test_poly_add_mul_trivial():
     one = TruncatedPolynomial.const(1, 4)
     a = P({x_mono(1): 1}, 4)
@@ -351,6 +374,15 @@ def test_exact_divide_of_constants():
     one, three = TruncatedPolynomial.const(1, 0), TruncatedPolynomial.const(3, 0)
     assert exact_divide(three, one) == {Monomial(): 3}
     assert extract_weight_counts((), 1, 0) == {Monomial(): 1}
+
+
+def test_exact_divide_recovers_a_large_quotient():
+    # hvt_genfun has x-degrees 4..6 and the Vandermonde 6, so cap 12 keeps
+    # every term of the product
+    cap = 12
+    q = hvt_genfun((3, 1), EnumBounds(4, 2), cap)
+    v = vandermonde(4, cap)
+    assert exact_divide(q * v, v) == q.terms
 
 
 def test_exact_divide_fails_loudly():

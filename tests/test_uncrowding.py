@@ -336,10 +336,10 @@ def test_uncrowd_weight_preservation():
 
 
 def test_uncrowd_step_tripwire(monkeypatch):
-    # a bump that never grows the shape must trip the step's budget, not loop
+    # a move that never grows the shape must trip the step's budget, not loop
     T = parse_hvt(pc.ARM_BUMP_TRACE[0])
     stuck = BumpRecord("arm", (2, 2), None, 1)
-    monkeypatch.setattr(uncrowding, "_bump", lambda grid, arm: stuck)
+    monkeypatch.setattr(uncrowding, "_move", lambda grid, arm, line, pos: (stuck, pos))
 
     def timeout(signum, frame):
         raise TimeoutError("the uncrowding step did not stop")
@@ -352,6 +352,58 @@ def test_uncrowd_step_tripwire(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_uncrowd_fill_tripwire(monkeypatch):
+    # a step that reports an earlier step's created cell leaves a grown cell
+    # without a recording entry
+    step, created = uncrowding._step, []
+
+    def repeating(grid, arm):
+        rec = step(grid, arm)
+        created.append(rec.created)
+        return rec._replace(created=created[0])
+
+    monkeypatch.setattr(uncrowding, "_step", repeating)
+    with pytest.raises(InternalError, match="do not fill"):
+        uncrowd(parse_hvt(pc.UNCROWD_INPUT), "LLAA")
+
+
+def step_by_bumps(T, uncrowd_step, bump):
+    """uncrowd_step(T), checked against bump repeated until the shape grows;
+    whether the step took more than one bump."""
+    out, rec = uncrowd_step(T)
+    cur, first = bump(T)
+    if first is None:
+        assert out is T and rec is None
+        return out, False
+    last = first
+    while last.created is None:
+        cur, last = bump(cur)
+        assert last is not None
+    assert out == cur
+    assert rec == first._replace(created=last.created)
+    return out, first is not last
+
+
+def test_uncrowd_step_equals_repeated_bumps():
+    # a step searches once and follows the bumped value, where the public
+    # bumps search on every bump; the steps run in both canonical orders, so
+    # they also start from the grown shapes those pass through
+    arm, leg = (arm_uncrowd, arm_bump), (leg_uncrowd, leg_bump)
+    chains = 0
+    for lam in partitions_up_to(3):
+        for T in enum_hvt(lam, EnumBounds(4, 3)):
+            for order in ((arm, leg), (leg, arm)):
+                cur = T
+                for uncrowd_step, bump in order:
+                    while True:
+                        out, chained = step_by_bumps(cur, uncrowd_step, bump)
+                        chains += chained
+                        if out is cur:
+                            break
+                        cur = out
+    assert chains > 1000
 
 
 def tableau_of(cells):
