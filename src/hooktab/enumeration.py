@@ -107,6 +107,7 @@ def enum_hvt(lam: Partition, bounds: EnumBounds) -> list[HookValuedTableau]:
         grid.pop((r, c), None)
 
     place(0, emax)
+    del place  # the closure refers to itself: free it without the cyclic GC
     return sorted(out, key=serialize_hvt)
 
 
@@ -142,6 +143,7 @@ def _fill(outer, inner, pool, fits) -> list[MixedTableau]:
                 place(i + 1)
 
     place(0)
+    del place  # the closure refers to itself: free it without the cyclic GC
     return out
 
 

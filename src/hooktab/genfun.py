@@ -2,15 +2,18 @@
 sum, its Schur expansions, and the determinant formula check.
 
 Division by the Vandermonde is avoided everywhere: the determinant identity
-is checked as det = (tableau sum) * Vandermonde between truncated
-polynomials, and coefficient extraction recovers the tableau-sum
-coefficients from the determinant side by graded exact division.
+is checked as det = (tableau sum) * Vandermonde, both sides built as keys of
+one Packing from the matrix entries in closed form, the transfer sum and the
+Vandermonde's signed sum over permutations, and coefficient extraction
+recovers the tableau-sum coefficients from the determinant side by graded
+exact division.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .enumeration import (
     EnumBounds,
@@ -26,7 +29,6 @@ from .polynomials import (
     TruncatedPolynomial,
     alpha_mono,
     beta_mono,
-    determinant,
     exact_divide,
     x_mono,
 )
@@ -41,18 +43,25 @@ def schur_poly(mu, n: int, cap: int) -> TruncatedPolynomial:
 
 
 def hvt_genfun(lam, bounds: EnumBounds, cap: int) -> TruncatedPolynomial:
-    """Weight sum over hook-valued tableaux of shape lam within bounds.
+    """Weight sum over hook-valued tableaux of shape lam within bounds."""
+    lam = check_partition(lam)
+    n, emax = check_bounds(bounds)
+    if cap < sum(lam) + emax:
+        raise CapTooSmall(f"cap {cap} cannot hold degree {sum(lam) + emax}")
+    pack = Packing(n, lam[0] if lam else 0, len(lam), sum(lam) + emax, cap)
+    return pack.polynomial(_transfer_sum(lam, n, emax, pack))
+
+
+def _transfer_sum(lam, n: int, emax: int, pack: Packing) -> dict[int, int]:
+    """The weight sum over hook-valued tableaux of shape lam, entries <= n
+    and excess <= emax, as packed counts; pack must hold x_1..x_n, alpha up
+    to lam_1 and beta up to len(lam).
 
     A transfer sum over the cells in row order, listing no tableaux.  As in
     enum_hvt, a hook entry is at least the largest entry of the left cell
     and above that of the lower cell.  A state is the largest entry of the
     latest cell in each column a later cell can lie on, with the excess
     left; it maps each weight, a Packing key, to its number of fillings."""
-    lam = check_partition(lam)
-    n, emax = check_bounds(bounds)
-    if cap < sum(lam) + emax:
-        raise CapTooSmall(f"cap {cap} cannot hold degree {sum(lam) + emax}")
-    pack = Packing(n, lam[0] if lam else 0, len(lam), sum(lam) + emax, cap)
     xs = [pack.key(x_mono(v)) for v in range(1, n + 1)]
 
     @cache
@@ -82,7 +91,10 @@ def hvt_genfun(lam, bounds: EnumBounds, cap: int) -> TruncatedPolynomial:
                     step = [(x_key + arms * a_key + legs * b_key, 1)]
                     pack.add_product(nxt.setdefault(state, {}), weights.items(), step)
             states = nxt
-    return pack.polynomial(sum(map(Counter, states.values()), Counter()))
+    total: Counter = Counter()
+    for weights in states.values():
+        total.update(weights)
+    return total
 
 
 def schur_expansion_genfun(
@@ -106,43 +118,63 @@ def schur_expansion_genfun(
 
 
 def vandermonde(n: int, cap: int) -> TruncatedPolynomial:
-    """The product of (x_i - x_j) over 1 <= i < j <= n, as det(x_j^(n-i))."""
-    rows = range(1, n + 1)
-    xs = [[{x_mono(j, n - i): 1} for j in rows] for i in rows]
-    return determinant([[TruncatedPolynomial(x, cap) for x in row] for row in xs], cap)
-
-
-def _geometric(alpha_index: int, x_index: int, cap: int) -> TruncatedPolynomial:
-    """The truncated expansion of 1 / (1 - alpha_k x_j)."""
-    terms = {
-        Monomial(x=((x_index, m),) if m else (), a=((alpha_index, m),) if m else ()): 1
-        for m in range(cap + 1)
-    }
+    """The product of (x_i - x_j) over 1 <= i < j <= n, as the signed sum
+    over permutations w of sgn(w) * prod_i x_w(i)^(n-i)."""
+    terms = {}
+    for w in permutations(range(1, n + 1)):
+        inversions = sum(a > b for a, b in combinations(w, 2))
+        terms[Monomial(x=[(j, n - i) for i, j in enumerate(w, 1)])] = (-1) ** inversions
     return TruncatedPolynomial(terms, cap)
 
 
-def _matrix_entry(lam, n, i, j, cap) -> TruncatedPolynomial:
-    """x_j^(lam_i + n - i) * prod_{k<i} (1 + beta_k x_j)
-    / prod_{k<=lam_i} (1 - alpha_k x_j), truncated."""
-    lam_i = lam[i - 1] if i <= len(lam) else 0
-    power = lam_i + n - i
-    out = TruncatedPolynomial.monomial(x_mono(j, power) if power else Monomial(), cap)
-    for k in range(1, i):
-        factor = TruncatedPolynomial(
-            {Monomial(): 1, x_mono(j) * beta_mono(k): 1}, cap
+def _det_packing(lam, n: int, cap: int) -> Packing:
+    """A packing for the closed formula's matrix, its minors and, with cap
+    raised by deg(Vandermonde), both sides of the formula.
+
+    Every exponent of a kept term is at most its x-degree, which is at most
+    cap: an entry's term x_j^(p + s + t) carries s betas and t alphas, a
+    hook-valued cell one x per entry and one alpha or beta per extra entry,
+    and the Vandermonde no alpha or beta.  So no field of a kept key
+    carries, and a key sum whose x-degree passes cap reaches limit."""
+    return Packing(n, lam[0] if lam else 0, max(n - 1, len(lam)), cap, cap)
+
+
+def _entries(lam, n: int, pack: Packing) -> list[list[list[tuple[int, int]]]]:
+    """The closed formula's matrix up to x-degree pack.cap, in packed keys.
+
+    Entry (i, j) is x_j^(lam_i + n - i) * prod_{k<i} (1 + beta_k x_j)
+    / prod_{k<=lam_i} (1 - alpha_k x_j), that is the sum over s + t = d of
+    x_j^(lam_i + n - i + d) * e_s(beta_1..beta_{i-1}) * h_t(alpha_1..alpha_lam_i)."""
+    xs = [pack.key(x_mono(j)) for j in range(1, n + 1)]
+    rows = []
+    for i in range(1, n + 1):
+        lam_i = lam[i - 1] if i <= len(lam) else 0
+        power = lam_i + n - i
+        alphas = [pack.key(alpha_mono(k)) for k in range(1, lam_i + 1)]
+        betas = [pack.key(beta_mono(k)) for k in range(1, i)]
+        # the alpha-beta keys of each degree d in key order; x_j^(power + d)
+        # sets the leading fields, so entry (i, j) comes out in key order
+        parts = [
+            sorted(
+                sum(S) + sum(M)
+                for s in range(min(d, i - 1) + 1)
+                for S in combinations(betas, s)
+                for M in combinations_with_replacement(alphas, d - s)
+            )
+            for d in range(pack.cap - power + 1)
+        ]
+        rows.append(
+            [[((power + d) * x + k, 1) for d, ks in enumerate(parts) for k in ks]
+             for x in xs]
         )
-        out = out * factor
-    for k in range(1, lam_i + 1):
-        out = out * _geometric(k, j, cap)
-    return out
+    return rows
 
 
 def determinant_side(lam, n: int, cap: int) -> TruncatedPolynomial:
     """The determinant in the closed formula."""
     lam = check_partition(lam)
-    rows = range(1, n + 1)
-    entries = [[_matrix_entry(lam, n, i, j, cap) for j in rows] for i in rows]
-    return determinant(entries, cap)
+    pack = _det_packing(lam, n, cap)
+    return pack.polynomial(pack.determinant(_entries(lam, n, pack)))
 
 
 def det_formula_check(lam, n: int, cap: int):
@@ -152,7 +184,8 @@ def det_formula_check(lam, n: int, cap: int):
 
     cap bounds the x-degree of the generating function being verified; both
     sides are computed at cap + deg(Vandermonde) so the comparison covers
-    every coefficient of the generating function up to x-degree cap.
+    every coefficient of the generating function up to x-degree cap.  Both
+    are built in one packing and unpacked once.
     """
     lam = check_partition(lam)
     if cap < sum(lam):
@@ -160,10 +193,12 @@ def det_formula_check(lam, n: int, cap: int):
     if n < len(lam):
         raise ValueError(f"need at least {len(lam)} variables for {lam}")
     work_cap = cap + n * (n - 1) // 2
-    lhs = determinant_side(lam, n, work_cap)
-    genfun = hvt_genfun(lam, EnumBounds(n, cap - sum(lam)), work_cap)
-    rhs = genfun * vandermonde(n, work_cap)
-    return lhs, rhs
+    pack = _det_packing(lam, n, work_cap)
+    lhs = pack.determinant(_entries(lam, n, pack))
+    genfun = _transfer_sum(lam, n, cap - sum(lam), pack)
+    rhs: dict[int, int] = {}
+    pack.add_product(rhs, genfun.items(), pack.packed(vandermonde(n, work_cap)))
+    return pack.polynomial(lhs), pack.polynomial(rhs)
 
 
 # ---------------------------------------------------------------------------

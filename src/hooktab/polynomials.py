@@ -188,6 +188,8 @@ class Packing:
     __slots__ = ("nx", "na", "nb", "cap", "bits", "low", "limit")
 
     def __init__(self, nx: int, na: int, nb: int, top: int, cap: int):
+        if cap < 0:
+            raise CapTooSmall(f"cap must be nonnegative, got {cap}")
         self.nx, self.na, self.nb, self.cap = nx, na, nb, cap
         self.bits = -(-top.bit_length() // 8) * 8 or 8
         self.low = self.bits * (nx + na + nb)
@@ -216,6 +218,32 @@ class Packing:
                 if k >= limit:
                     break
                 acc[k] = get(k, 0) + c1 * c2
+
+    def determinant(self, rows) -> dict[int, int]:
+        """The determinant of a square matrix whose entries are (key,
+        coefficient) pairs in key order, as packed counts up to x-degree cap
+        ({0: 1} for no rows), expanded by minors on rows.
+
+        D(S), the minor on rows 1..|S| and the column set S, is the sum over j
+        in S of (-1)^#{s in S : s > j} * D(S - {j}) * entry(|S|, j); each
+        minor is built once from those of the row before, so the expansion
+        takes n * 2^(n-1) products instead of the n * n! of the permutations."""
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("the matrix must be square")
+        # minors on the rows so far, keyed by their column set as a bit mask
+        minors = {0: {0: 1}}
+        for row in rows:
+            bigger: dict[int, dict[int, int]] = {}
+            for cols, minor in minors.items():
+                for j, entry in enumerate(row):
+                    if not cols >> j & 1:
+                        # the columns of cols right of j set the sign
+                        sign = -1 if (cols >> j).bit_count() % 2 else 1
+                        acc = bigger.setdefault(cols | 1 << j, {})
+                        self.add_product(acc, minor.items(), entry, sign)
+            minors = bigger
+        return minors[(1 << n) - 1]
 
     def polynomial(self, counts: Mapping[int, int]) -> "TruncatedPolynomial":
         """The polynomial with coefficient c at the monomial of each key k
@@ -351,32 +379,12 @@ def poly_mul(a: TruncatedPolynomial, b: TruncatedPolynomial) -> TruncatedPolynom
 
 def determinant(rows, cap: int) -> TruncatedPolynomial:
     """The determinant of a square matrix of polynomials of cap cap (1 for
-    no rows), expanded by minors on rows.
-
-    D(S), the minor on rows 1..|S| and the column set S, is the sum over j
-    in S of (-1)^#{s in S : s > j} * D(S - {j}) * entry(|S|, j); each
-    minor is built once from those of the row before, so the expansion
-    takes n * 2^(n-1) products instead of the n * n! of the permutations."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("the matrix must be square")
+    no rows), expanded by minors on rows through Packing.determinant."""
     if any(p.cap != cap for row in rows for p in row):
         raise CapMismatch(f"an entry's cap differs from {cap}")
     pack = _packing(([m for p in row for m in p.terms] for row in rows), cap)
-    # minors on the rows so far, keyed by their column set as a bit mask
-    minors = {0: {0: 1}}
-    for row in rows:
-        entries = [pack.packed(p) for p in row]
-        bigger: dict[int, dict[int, int]] = {}
-        for cols, minor in minors.items():
-            for j, entry in enumerate(entries):
-                if not cols >> j & 1:
-                    # the columns of cols right of j set the sign
-                    sign = -1 if (cols >> j).bit_count() % 2 else 1
-                    acc = bigger.setdefault(cols | 1 << j, {})
-                    pack.add_product(acc, minor.items(), entry, sign)
-        minors = bigger
-    return pack.polynomial(minors[(1 << n) - 1])
+    packed = [[pack.packed(p) for p in row] for row in rows]
+    return pack.polynomial(pack.determinant(packed))
 
 
 def exact_divide(

@@ -124,6 +124,7 @@ def partitions_between(inner: Partition, outer: Partition) -> list[Partition]:
             prefix.pop()
 
     grow([], 0, outer[0] if outer else 0)
+    del grow  # the closure refers to itself: free it without the cyclic GC
     return sorted(set(out))
 
 

@@ -4,11 +4,12 @@ Nothing here shares code paths with the library: classification is a
 literal pair scan, counts come from the hook content formula, and Schur
 polynomials from the bialternant determinant.  The exceptions are
 det_by_permutations, which expands each matrix entry term by term but
-multiplies them with the library's polynomial arithmetic, and the
-mixed-family enumerators, which filter every product of candidate entries
-with brute_classify but take the library's partitions_between for the
-sorted strict inputs and its shuffle for the second flag of a biflagged
-tableau.
+multiplies them with the library's polynomial arithmetic;
+det_entry_by_series, which multiplies an entry's series factors with that
+arithmetic; and the mixed-family enumerators, which filter every product
+of candidate entries with brute_classify but take the library's
+partitions_between for the sorted strict inputs and its shuffle for the
+second flag of a biflagged tableau.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from itertools import (
 )
 from types import SimpleNamespace
 
-from hooktab.polynomials import Monomial, TruncatedPolynomial, x_mono
+from hooktab.polynomials import Monomial, TruncatedPolynomial, beta_mono, x_mono
 from hooktab.shapes import conjugate, partitions_between
 from hooktab.switching import shuffle
 from hooktab.tableaux import MixedTableau, alpha, beta
@@ -129,6 +130,32 @@ def det_entry(lam, n, i, j, cap):
                     b = [(k, 1) for k in S]
                     terms[Monomial(x=x, a=a, b=b)] = 1
     return TruncatedPolynomial(terms, cap)
+
+
+def _geometric(alpha_index, x_index, cap):
+    """The truncated expansion of 1 / (1 - alpha_k x_j)."""
+    terms = {
+        Monomial(x=((x_index, m),) if m else (), a=((alpha_index, m),) if m else ()): 1
+        for m in range(cap + 1)
+    }
+    return TruncatedPolynomial(terms, cap)
+
+
+def det_entry_by_series(lam, n, i, j, cap):
+    """Entry (i, j) of the closed formula's matrix as the product of its
+    factors: x_j^(lam_i + n - i), each (1 + beta_k x_j) for k < i and each
+    truncated geometric series 1 / (1 - alpha_k x_j) for k <= lam_i."""
+    lam_i = lam[i - 1] if i <= len(lam) else 0
+    power = lam_i + n - i
+    out = TruncatedPolynomial.monomial(x_mono(j, power) if power else Monomial(), cap)
+    for k in range(1, i):
+        factor = TruncatedPolynomial(
+            {Monomial(): 1, x_mono(j) * beta_mono(k): 1}, cap
+        )
+        out = out * factor
+    for k in range(1, lam_i + 1):
+        out = out * _geometric(k, j, cap)
+    return out
 
 
 def det_by_permutations(lam, n, cap):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from itertools import product
 from unittest import mock
@@ -200,8 +201,29 @@ def test_verify_smoke():
     assert rep.passed and rep.instances_checked == 224
     rep = verify("ggjdt_bijection", outer=(3, 3, 1), inner=(2, 1))
     assert rep.passed and rep.instances_checked == 1
+    # max_outer 0 leaves the one empty skew shape
+    rep = verify("ggjdt_bijection", max_outer=0)
+    assert rep.passed and rep.instances_checked == 1
     with pytest.raises(ValueError):
         verify("nonsense")
+
+
+def test_enumerators_leave_no_reference_cycles():
+    calls = [
+        lambda: enum_hvt((3, 1), EnumBounds(3, 2)),
+        lambda: enum_sorted_strict((3, 2), (1,), 3),
+        lambda: verify("phi_bijection", (3, 1)),
+        lambda: verify("ggjdt_bijection", max_outer=4),
+    ]
+    for call in calls:
+        gc.collect()
+        # with collection off, a cycle the call leaves waits for gc.collect
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_verify_negative_control_arm_only():

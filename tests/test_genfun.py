@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paper_cases as pc
-from oracles import bialternant, det_by_permutations
+from oracles import (
+    bialternant,
+    det_by_permutations,
+    det_entry,
+    det_entry_by_series,
+)
 from hooktab.enumeration import EnumBounds, enum_hvt
 from hooktab.genfun import (
     det_formula_check,
@@ -72,6 +77,8 @@ def test_monomial_reports_the_first_bad_power():
         Monomial(b={3: -1, -1: 2})
     with pytest.raises(ValueError, match=r"^bad variable power \(-1, 2\)$"):
         Monomial(b={-1: 2, 3: -1})
+    # a cancelling pair sends the top index through the checked loop
+    assert Monomial(x=((MAX_INDEX, 1), (1, -1), (1, 1))) == x_mono(MAX_INDEX)
 
 
 def test_poly_add_mul_trivial():
@@ -184,6 +191,13 @@ def test_determinant_small_matrices():
         determinant([[a, b]], cap)
     with pytest.raises(CapMismatch):
         determinant([[P({}, 2)]], cap)
+
+
+def test_vandermonde_is_the_bialternant_of_the_empty_shape():
+    for n in range(6):
+        d = n * (n - 1) // 2
+        for cap in sorted({max(d - 1, 0), d, d + 2}):
+            assert vandermonde(n, cap) == bialternant((), n, cap)
 
 
 def test_schur_trivial_cases():
@@ -308,6 +322,18 @@ def test_det_formula_trivial_empty():
         assert rhs == hvt_genfun((), EnumBounds(n, cap), work) * vandermonde(n, work)
 
 
+def test_det_formula_sides_match_their_parts():
+    # alpha_1..alpha_lam1, beta_1..beta_(n-1) and the rows of lambda number
+    # 4, 3 and 2: a packing too narrow for one of them folds variables
+    # together on both sides alike, which the identity alone cannot show
+    for lam, n, cap in (((4, 1), 4, 6), ((3,), 3, 5)):
+        work = cap + n * (n - 1) // 2
+        lhs, rhs = det_formula_check(lam, n, cap)
+        assert lhs == det_by_permutations(lam, n, work)
+        genfun = hvt_genfun(lam, EnumBounds(n, cap - sum(lam)), work)
+        assert rhs == genfun * vandermonde(n, work)
+
+
 def test_det_formula_single_cell_hand_expansion():
     lhs, rhs = det_formula_check((1,), 2, 3)
     assert lhs == rhs
@@ -338,6 +364,21 @@ def test_det_formula_single_cell_hand_expansion():
     assert lhs == hand
 
 
+def test_det_entry_by_series_matches_term_by_term():
+    # caps from below the entry's leading power, where it is 0, to past the
+    # degree of its last beta, so truncation cuts every series on the way
+    for n in range(1, 6):
+        for lam in partitions_up_to(4):
+            if len(lam) > n:
+                continue
+            for i in range(1, n + 1):
+                power = (lam[i - 1] if i <= len(lam) else 0) + n - i
+                for j in sorted({1, n}):
+                    for cap in range(max(power - 1, 0), power + i + 2):
+                        series = det_entry_by_series(lam, n, i, j, cap)
+                        assert series == det_entry(lam, n, i, j, cap)
+
+
 def test_determinant_side_matches_permutation_expansion():
     for n, max_size in ((4, 4), (5, 2)):
         for lam in partitions_up_to(max_size):
@@ -346,9 +387,11 @@ def test_determinant_side_matches_permutation_expansion():
 
 
 def test_det_formula_five_variables():
+    # cap = |lambda| is the least cap the check takes
     for lam in partitions_up_to(3):
-        lhs, rhs = det_formula_check(lam, 5, sum(lam) + 1)
-        assert lhs == rhs
+        for cap in (sum(lam), sum(lam) + 1):
+            lhs, rhs = det_formula_check(lam, 5, cap)
+            assert lhs == rhs
 
 
 def test_det_formula_errors():

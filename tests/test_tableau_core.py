@@ -186,6 +186,9 @@ def test_constructor_rejects_bad_fillings():
     for k in (0, -1):
         with pytest.raises(ValueError):
             MixedTableau((1,), (), {(1, 1): MixedEntry("a", k)})
+        message = f"^alpha index must be positive, got {k}$"
+        with pytest.raises(ValueError, match=message):
+            alpha(k)
 
 
 def test_c_beta_shift_pinned():
