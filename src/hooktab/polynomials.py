@@ -196,7 +196,13 @@ class Packing:
         self.limit = cap + 1 << self.low
 
     def key(self, m: Monomial) -> int:
+        """The key of m; ValueError when m has a variable the packing lacks."""
         xv, av, bv = m.xv, m.av, m.bv
+        if len(xv) > self.nx or len(av) > self.na or len(bv) > self.nb:
+            raise ValueError(
+                f"{m} has more variables than the packing's "
+                f"{self.nx} x, {self.na} alpha and {self.nb} beta"
+            )
         flat = xv + (0,) * (self.nx - len(xv)) + av + (0,) * (self.na - len(av))
         flat += bv + (0,) * (self.nb - len(bv))
         if self.bits > 8:

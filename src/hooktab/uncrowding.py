@@ -57,13 +57,10 @@ def _tableau(grid) -> HookValuedTableau:
     return T
 
 
-def _top(x) -> int:  # the largest entry of a cell with a valid hook shape
-    return max(x[1][-1] if x[1] else x[0], x[2][-1] if x[2] else x[0])
-
-
 def _broken(grid, r: int, c: int) -> bool:
     """Whether cell (r, c) breaks the hook shape, or a row or column condition
-    with one of its four neighbours (taken to have valid hook shapes)."""
+    with one of its four neighbours (taken to have valid hook shapes, so that
+    a neighbour's largest entry is the last of its arms, its legs or its hook)."""
     row = grid[r - 1]
     h, arms, legs = row[c - 1]
     top = h
@@ -76,13 +73,19 @@ def _broken(grid, r: int, c: int) -> bool:
         if last >= b:
             return True
         last = b
-    top = max(top, last)
-    return (
-        (c > 1 and _top(row[c - 2]) > h)
-        or (c < len(row) and top > row[c][0])
-        or (r > 1 and _top(grid[r - 2][c - 1]) >= h)
-        or (r < len(grid) and c <= len(grid[r]) and top >= grid[r][c - 1][0])
-    )
+    if last > top:
+        top = last
+    if c > 1:
+        x = row[c - 2]
+        if x[0] > h or x[1] and x[1][-1] > h or x[2] and x[2][-1] > h:
+            return True
+    if c < len(row) and top > row[c][0]:
+        return True
+    if r > 1:
+        x = grid[r - 2][c - 1]
+        if x[0] >= h or x[1] and x[1][-1] >= h or x[2] and x[2][-1] >= h:
+            return True
+    return r < len(grid) and c <= len(grid[r]) and top >= grid[r][c - 1][0]
 
 
 def _line(grid, arm: bool, line: int) -> list:
@@ -92,30 +95,39 @@ def _line(grid, arm: bool, line: int) -> list:
     return grid[line - 1]
 
 
-def _find(grid, arm: bool) -> Optional[tuple[int, int]]:
-    """(line, pos) of the cell holding the largest own entry of the last line
-    with own entries (arms: the rightmost column, legs: the topmost row);
-    None when no cell has any."""
-    kind, own = ("arm", 1) if arm else ("leg", 2)
+def _find(grid, arm: bool) -> Optional[tuple[int, int, int]]:
+    """(line, pos, v) for the cell at pos of line holding v, the largest own
+    entry of the last line with own entries (arms: the rightmost column, legs:
+    the topmost row); None when no cell has any."""
+    own = 1 if arm else 2
     line = len(grid[0]) if arm and grid else len(grid)
     while line:
-        tops = [x[own][-1] if x[own] else 0 for x in _line(grid, arm, line)]
-        v = max(tops, default=0)
-        if v:
-            if tops.count(v) != 1:
+        best = at = 0
+        tied = False
+        for p, x in enumerate(_line(grid, arm, line), 1):
+            if x[own]:
+                v = x[own][-1]
+                if v > best:
+                    best, at, tied = v, p, False
+                elif v == best:
+                    tied = True
+        if best:
+            if tied:
+                kind = "arm" if arm else "leg"
                 raise InternalError(f"largest {kind} entry of a line must sit in one cell")
-            return line, tops.index(v) + 1
+            return line, at, best
         line -= 1
     return None
 
 
-def _move(grid, arm: bool, line: int, pos: int) -> tuple[BumpRecord, int]:
+def _move(grid, arm: bool, line: int, pos: int) -> tuple[Optional[Cell], int]:
     """Move the largest own entry of the cell at pos of line to line + 1, in
-    place; its record and the pos it landed at.  Written once in (line, pos)
-    coordinates: an arm moves from column line to line + 1 at row pos, a leg
-    from row line to line + 1 at column pos.  x[own] is the list of cell x
-    that bumps (arms or legs), x[other] the list that may follow it."""
-    kind, own, other = ("arm", 1, 2) if arm else ("leg", 2, 1)
+    place; the cell it created (None when it landed in a cell) and the pos
+    it landed at.  Written once in (line, pos) coordinates: an arm moves from
+    column line to line + 1 at row pos, a leg from row line to line + 1 at
+    column pos.  x[own] is the list of cell x that bumps (arms or legs),
+    x[other] the list that may follow it."""
+    own, other = (1, 2) if arm else (2, 1)
     origin = (pos, line) if arm else (line, pos)
     if not arm and line == len(grid):
         grid.append([])  # the row above the top one, for the new cell
@@ -124,13 +136,16 @@ def _move(grid, arm: bool, line: int, pos: int) -> tuple[BumpRecord, int]:
     # an arm takes the smallest entry >= v and carries the origin's legs > v;
     # a leg takes the smallest entry > v and carries the origin's arms >= v
     lo, carried = (v, v + 1) if arm else (v + 1, v)
-    # entries grow along the line, so the first cell whose top reaches lo
-    # holds the smallest entry >= lo, the first on ties
+    # entries grow along the line, so the first cell with an entry >= lo
+    # holds the smallest one, the first on ties; the hook is a cell's least
     nxt = _line(grid, arm, line + 1)
     k, at = None, len(nxt) + 1
     for p, x in enumerate(nxt, 1):
-        if _top(x) >= lo:
-            k, at = min(w for w in (x[0], *x[1], *x[2]) if w >= lo), p
+        if x[0] >= lo:
+            k, at = x[0], p
+            break
+        if x[1] and x[1][-1] >= lo or x[2] and x[2][-1] >= lo:
+            k, at = min(w for w in (*x[1], *x[2]) if w >= lo), p
             break
     target = (at, line + 1) if arm else (line + 1, at)
     if k is None:
@@ -141,26 +156,37 @@ def _move(grid, arm: bool, line: int, pos: int) -> tuple[BumpRecord, int]:
     else:
         dst = nxt[at - 1]
         if dst[own]:
+            kind = "arm" if arm else "leg"
             raise InternalError(f"the line after the last {kind} line has {kind}s")
         t = [dst[0], *dst[other]]
         t[t.index(k)] = v
         dst[0], dst[other], dst[own] = t[0], tuple(t[1:]), (k,)
     src[own] = src[own][:-1]
-    if at == pos:
+    if at == pos and src[other]:
         moved = tuple(x for x in src[other] if x >= carried)
         dst[other] = tuple(sorted(dst[other] + moved))
         src[other] = tuple(x for x in src[other] if x < carried)
     if _broken(grid, *origin) or _broken(grid, *target):
         bad = hvt_violations(_tableau(grid))
         raise InternalError(f"bump produced an invalid tableau: {bad}")
-    return BumpRecord(kind, origin, target if k is None else None, v), at
+    return (target if k is None else None), at
+
+
+def _record(arm: bool, line: int, pos: int, v: int, created) -> BumpRecord:
+    """The record of a bump (or step) of v from pos of line."""
+    if arm:
+        return BumpRecord("arm", (pos, line), created, v)
+    return BumpRecord("leg", (line, pos), created, v)
 
 
 def _bump(grid, arm: bool) -> Optional[BumpRecord]:
     """One arm (arm=True) or leg bump of the grid, in place; None when there
     is nothing to bump."""
     found = _find(grid, arm)
-    return None if found is None else _move(grid, arm, *found)[0]
+    if found is None:
+        return None
+    line, pos, v = found
+    return _record(arm, line, pos, v, _move(grid, arm, line, pos)[0])
 
 
 def _step(grid, arm: bool) -> Optional[BumpRecord]:
@@ -172,15 +198,15 @@ def _step(grid, arm: bool) -> Optional[BumpRecord]:
     found = _find(grid, arm)
     if found is None:
         return None
-    line, pos = found
-    first, pos = _move(grid, arm, line, pos)
-    rec, budget = first, sum(map(len, grid))
-    while rec.created is None:
+    line, pos, v = found
+    created, at = _move(grid, arm, line, pos)
+    last, budget = line, sum(map(len, grid))
+    while created is None:
         if not budget:
             raise InternalError("an uncrowding step exceeded its bump budget")
-        line, budget = line + 1, budget - 1
-        rec, pos = _move(grid, arm, line, pos)
-    return BumpRecord(first.kind, first.origin, rec.created, first.moved_entry)
+        last, budget = last + 1, budget - 1
+        created, at = _move(grid, arm, last, at)
+    return _record(arm, line, pos, v, created)
 
 
 def _apply(T: HookValuedTableau, routine, arm: bool):
@@ -239,12 +265,13 @@ def uncrowd(T: HookValuedTableau, word: str) -> UncrowdResult:
             r, c = rec.origin
             q_entries[rec.created] = alpha(c) if rec.kind == "arm" else beta(r)
     P = _tableau(grid) if records else T
+    outer, inner = tuple(map(len, grid)), T.shape
     # created cells are new cells of a partition grid: they fill P / T when
     # there are as many as the cells it gained, so Q skips MixedTableau()
-    if len(q_entries) != sum(map(len, grid)) - T.num_cells:
+    if len(q_entries) != sum(outer) - sum(inner):
         raise InternalError("the created cells do not fill the grown shape")
     recording = object.__new__(MixedTableau)
-    recording.outer, recording.inner, recording.entries = P.shape, T.shape, q_entries
+    recording.outer, recording.inner, recording.entries = outer, inner, q_entries
     return UncrowdResult(P, recording, tuple(records))
 
 

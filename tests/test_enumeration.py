@@ -9,6 +9,7 @@ import paper_cases as pc
 from oracles import brute_biflagged, brute_exquisite, brute_sorted_strict
 from oracles import ssyt_count as ssyt_count_oracle
 import hooktab.enumeration as en
+import hooktab.uncrowding as uncrowding
 from hooktab.enumeration import (
     CHECK_IDS,
     EnumBounds,
@@ -28,7 +29,8 @@ from hooktab.shapes import (
     skew_shapes,
     subpartitions,
 )
-from hooktab.switching import gg_jdt, is_biflagged
+from hooktab.polynomials import Monomial
+from hooktab.switching import InternalError, gg_jdt, is_biflagged
 from hooktab.tableaux import (
     MixedTableau,
     alpha,
@@ -310,6 +312,8 @@ def test_verify_fault_reports_pinned():
         ("is_exquisite", lambda T: len(T.entries) % 2 == 0, "ggjdt_bijection",
          None, 26,
          "bc39ca30c1460fd76257e57fbac41ac6938405212e1c29dd341c8dcef0f73a10"),
+        ("weight_mixed", lambda Q: Monomial(), "uncrowd_image", (3, 2), 216,
+         "cc0af70f3e5b7db3a7275f732cc27c7b1341caae9b4d2740d4398e1ecf6db407"),
     ]
     for name, fake, check_id, bounds, n_failures, digest in faults:
         with mock.patch.object(en, name, fake):
@@ -320,6 +324,15 @@ def test_verify_fault_reports_pinned():
         assert not report.passed, name
         assert len(report.failures) == n_failures, name
         assert _sha256(report) == digest, name
+
+
+def test_image_checks_refuse_an_insertion_with_excess():
+    # the image checks test no excess themselves: canonical uncrowding, which
+    # phi runs too, must refuse to return an insertion tableau that has some
+    for check_id in ("uncrowd_image", "phi_bijection"):
+        with mock.patch.object(uncrowding, "_canonical_word", lambda T, order: ""):
+            with pytest.raises(InternalError, match="left excess"):
+                verify(check_id, (2, 1), EnumBounds(3, 2))
 
 
 def test_verify_accepts_plain_tuple_bounds():

@@ -26,6 +26,7 @@ from hooktab.polynomials import (
     CapMismatch,
     CapTooSmall,
     Monomial,
+    Packing,
     TruncatedPolynomial,
     alpha_mono,
     beta_mono,
@@ -170,6 +171,20 @@ def test_packed_products_beyond_one_byte_fields():
     assert Monomial(x={1: 400}, a={1: 600}) in (big * big).terms
     assert Monomial(b={MAX_INDEX: 3}) in (far * far * far).terms
     assert exact_divide(big * vandermonde(2, 400), vandermonde(2, 400)) == big.terms
+
+
+def test_packing_refuses_variables_it_lacks():
+    # the closed formula's matrix for lambda = (4, 1) at n = 4, cap 6 + 6, in
+    # a packing whose alpha width is l(lambda) = 2 instead of lambda_1 = 4:
+    # alpha_3 would fold onto a neighbouring field instead of raising
+    lam, n, cap = (4, 1), 4, 12
+    narrow = Packing(n, len(lam), max(n - 1, len(lam)), cap, cap)
+    assert narrow.key(alpha_mono(2) * x_mono(4) * beta_mono(3)) > 0
+    for m in (alpha_mono(3), x_mono(5), beta_mono(4), alpha_mono(1) * alpha_mono(4)):
+        with pytest.raises(ValueError, match="more variables than the packing"):
+            narrow.key(m)
+    wide = Packing(n, lam[0], max(n - 1, len(lam)), cap, cap)
+    assert len({wide.key(alpha_mono(k)) for k in range(1, 5)}) == 4
 
 
 def test_determinant_small_matrices():

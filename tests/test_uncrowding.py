@@ -23,7 +23,6 @@ from hooktab.tableaux import (
 )
 from hooktab.textform import parse_hvt, parse_mixed, serialize_hvt, serialize_mixed
 from hooktab.uncrowding import (
-    BumpRecord,
     arm_bump,
     arm_uncrowd,
     has_type,
@@ -338,8 +337,8 @@ def test_uncrowd_weight_preservation():
 def test_uncrowd_step_tripwire(monkeypatch):
     # a move that never grows the shape must trip the step's budget, not loop
     T = parse_hvt(pc.ARM_BUMP_TRACE[0])
-    stuck = BumpRecord("arm", (2, 2), None, 1)
-    monkeypatch.setattr(uncrowding, "_move", lambda grid, arm, line, pos: (stuck, pos))
+    # a move returns the cell it created (None: no new cell) and its pos
+    monkeypatch.setattr(uncrowding, "_move", lambda grid, arm, line, pos: (None, pos))
 
     def timeout(signum, frame):
         raise TimeoutError("the uncrowding step did not stop")
